@@ -4,7 +4,6 @@ against gold ratings)."""
 
 from __future__ import annotations
 
-import collections
 import csv
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -288,7 +287,3 @@ def read_embeddings(path: str | Path) -> EmbeddingSet:
             words.append(parts[0])
             rows[i] = [float(v) for v in parts[1 : dim + 1]]
     return EmbeddingSet(words=tuple(words), matrix=rows)
-
-
-def corpus_token_counts(corpus: Corpus) -> collections.Counter:
-    return corpus.token_counts()

@@ -13,7 +13,9 @@ Layout (all integers little-endian):
               per tensor u16 name length + name, u8 ndim, u32 dims,
               float64 little-endian values (C order). Tensor order is the
               fixed training order: emb, then per layer wx/wh/b, then the
-              output bias (plus out_w before it when untied).
+              output bias (plus out_w before it when untied). Loading casts
+              the tensors to the config's dtype; float32 survives the
+              float64 round trip exactly.
 """
 
 from __future__ import annotations
@@ -111,7 +113,7 @@ def save_model(model: LanguageModel, path: str | Path) -> None:
     Path(path).write_bytes(model_bytes(model))
 
 
-def _read_tensors(r: _Reader) -> list[tuple[str, np.ndarray]]:
+def _read_tensors(r: _Reader, dtype) -> list[tuple[str, np.ndarray]]:
     count = r.unpack("I")
     tensors = []
     for _ in range(count):
@@ -120,7 +122,7 @@ def _read_tensors(r: _Reader) -> list[tuple[str, np.ndarray]]:
         shape = r.unpack(f"{ndim}I")
         shape = shape if isinstance(shape, tuple) else (shape,)
         size = int(np.prod(shape))
-        arr = np.frombuffer(r.take(size * 8), dtype="<f8").reshape(shape).copy()
+        arr = np.frombuffer(r.take(size * 8), dtype="<f8").reshape(shape).astype(dtype)
         tensors.append((name, arr))
     return tensors
 
@@ -172,6 +174,7 @@ def load_model(path: str | Path) -> LanguageModel:
         return model
     if kind == "lstm-lm":
         config = LstmLmConfig(**json.loads(r.string("I")))
-        params = _stack_from_tensors(_read_tensors(r), config.tied_embeddings)
+        params = _stack_from_tensors(_read_tensors(r, config.np_dtype),
+                                     config.tied_embeddings)
         return LstmLmModel(tokens, config, params)
     raise ModelFormatError(f"{path}: unknown model kind {kind!r}")

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core
-from .language_model import DivergenceError
+from .language_model import check_divergence
 
 log = logging.getLogger(__name__)
 
@@ -105,10 +105,9 @@ def train_char_classifier(sequences: list[list[int]], labels: list[list[int]],
             logits, _, cache = core.stack_forward(params, x, core.zero_state(params, x.shape[1]),
                                                   masks, want_cache=True)
             loss, dlogits = core.xent_loss(logits, y, mask)
-            if not math.isfinite(loss):
-                raise DivergenceError(f"non-finite tagger loss at epoch {epoch}")
             grads = core.stack_backward(params, cache, dlogits)
-            core.clip_gradients(grads, config.grad_clip)
+            norm = core.clip_gradients(grads, config.grad_clip)
+            check_divergence(loss, norm, f"in the tagger at epoch {epoch}")
             core.sgd_step(params, grads, lr)
             n = int(mask.sum())
             epoch_loss += loss * n

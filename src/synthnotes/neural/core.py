@@ -5,12 +5,40 @@ reverse-mode gradients, global-norm clipping and SGD.
 Everything is float64 by default; float32 is available behind the `dtype`
 argument for speed, conformance tests run in float64. Gate order in the
 packed weight matrices is [input, forget, cell, output].
+
+The kernel is shaped by its per-call cost at small sizes (T=35, B=20,
+H=48): there, time goes to numpy calls, not arithmetic.
+
+- **Gate-row layout.** The recurrence runs on transposed per-step blocks,
+  (H, B) states and a (4H, B) gate block, so every gate is a contiguous
+  row block and every per-step call is a plain elementwise call over
+  contiguous memory. Inputs, outputs and weight gradients keep the
+  (T, B, features) layout; each layer transposes once on the way in and
+  once on the way out.
+- **One activation call per step.** All four gates come from a single
+  `tanh` over the packed pre-activation block, through the identity
+  sigmoid(z) = 0.5 * tanh(z / 2) + 0.5: the block is scaled by
+  [1/2, 1/2, 1, 1/2] per gate before the `tanh`, then scaled again and
+  shifted by [1/2, 1/2, 0, 1/2]. Halving is exact in binary floating
+  point, so a sigmoid gate differs from a direct logistic only by the
+  rounding of `tanh` and of the final add.
+- **Only the recurrence stays in the reverse loop.** Every factor of the
+  gate gradients that does not depend on the carried (dh, dc) is computed
+  for all T steps at once before the loop: the gate derivatives, the
+  previous cell and hidden states with the reset factor `keep` applied,
+  o * (1 - tanh(c)^2) and f * keep. The loop only fills the gate-gradient
+  buffer `dz` and makes the one product that feeds the next step back,
+  `wh @ dz[t]`. The weight, bias and input gradients are then one product
+  (or sum) each per layer over the whole chunk, and the embedding gradient
+  one sparse one-hot product.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
-from scipy.special import expit as sigmoid
+from scipy import sparse
 
 
 class LayerParams:
@@ -59,14 +87,6 @@ class StackParams:
             [LayerParams(l.wx.copy(), l.wh.copy(), l.b.copy()) for l in self.layers],
             None if self.out_w is None else self.out_w.copy(),
             self.out_b.copy(),
-        )
-
-    def zeros_like(self) -> "StackParams":
-        return StackParams(
-            np.zeros_like(self.emb),
-            [LayerParams(np.zeros_like(l.wx), np.zeros_like(l.wh), np.zeros_like(l.b)) for l in self.layers],
-            None if self.out_w is None else np.zeros_like(self.out_w),
-            np.zeros_like(self.out_b),
         )
 
 
@@ -122,17 +142,30 @@ def make_dropout_masks(rng: np.random.Generator, p: float, steps: int, batch: in
     ]
 
 
-class ForwardCache:
-    """Intermediates retained by the training-mode forward pass."""
+@functools.lru_cache(maxsize=64)
+def _gate_affine(dtype: np.dtype, hidden: int, batch: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (4H, B) scale and shift of the sigmoid-via-tanh identity:
+    [1/2, 1/2, 1, 1/2] and [1/2, 1/2, 0, 1/2] per gate-row block. Full-size,
+    because a broadcast operand costs more per call than the arithmetic."""
+    def rows(values):
+        arr = np.repeat(np.array(values, dtype=dtype), hidden * batch).reshape(4 * hidden, batch)
+        arr.flags.writeable = False
+        return arr
+    return rows([0.5, 0.5, 1.0, 0.5]), rows([0.5, 0.5, 0.0, 0.5])
 
-    __slots__ = ("x_ids", "inputs", "gates", "cells", "tanh_c", "hiddens",
-                 "h0", "c0", "masks", "top", "keep")
+
+class ForwardCache:
+    """Intermediates retained by the training-mode forward pass. Arrays
+    marked gate-row are (T, rows, B), the others (T, B, features)."""
+
+    __slots__ = ("x_ids", "inputs", "acts", "cells", "tanh_c", "hiddens",
+                 "h0", "c0", "masks", "top", "keep_rows", "reset_steps")
 
     def __init__(self):
         self.inputs = []   # per layer: (T,B,D) dropped input fed to the layer
-        self.gates = []    # per layer: (i, f, g, o) arrays of (T,B,H)
-        self.cells = []    # per layer: (T,B,H)
-        self.tanh_c = []   # per layer: (T,B,H)
+        self.acts = []     # per layer: gate-row (T,4H,B) activations [i, f, g, o]
+        self.cells = []    # per layer: gate-row (T,H,B)
+        self.tanh_c = []   # per layer: gate-row (T,H,B)
         self.hiddens = []  # per layer: (T,B,H)
 
 
@@ -153,15 +186,21 @@ def stack_forward(params: StackParams, x_ids: np.ndarray, state,
     steps, batch = x_ids.shape
     hidden = params.layers[0].wh.shape[0]
     dtype = params.emb.dtype
-    keep = None
+    scale, shift = _gate_affine(dtype, hidden, batch)
+    keep_rows = None
+    reset_steps = frozenset()
     if reset_mask is not None:
-        keep = 1.0 - reset_mask.astype(dtype)[:, :, None]  # (T,B,1)
+        keep = 1.0 - reset_mask.astype(dtype)[:, None, :]  # (T,1,B)
+        keep_rows = np.repeat(keep, hidden, axis=1)  # gate-row (T,H,B)
+        # keep is all ones at the other steps, where its product is skipped
+        reset_steps = frozenset(np.flatnonzero(reset_mask.any(axis=1)).tolist())
 
     cache = ForwardCache() if want_cache else None
     if want_cache:
         cache.x_ids = x_ids
         cache.masks = masks
-        cache.keep = keep
+        cache.keep_rows = keep_rows
+        cache.reset_steps = reset_steps
         cache.h0 = [s[0] for s in state]
         cache.c0 = [s[1] for s in state]
 
@@ -170,42 +209,40 @@ def stack_forward(params: StackParams, x_ids: np.ndarray, state,
         layer_in = layer_in * masks[0]
     new_state = []
     for li, layer in enumerate(params.layers):
-        h, c = state[li]
-        hs = np.empty((steps, batch, hidden), dtype=dtype)
+        h, c = state[li][0].T, state[li][1].T  # gate-row (H,B)
+        hs = np.empty((steps, hidden, batch), dtype=dtype)
+        acts = cs = tcs = None
         if want_cache:
-            i_g = np.empty((steps, batch, hidden), dtype=dtype)
-            f_g = np.empty_like(i_g)
-            g_g = np.empty_like(i_g)
-            o_g = np.empty_like(i_g)
-            cs = np.empty_like(i_g)
-            tc = np.empty_like(i_g)
-        flat_in = layer_in.reshape(steps * batch, -1)
-        x_proj = (flat_in @ layer.wx).reshape(steps, batch, 4 * hidden) + layer.b
+            acts = np.empty((steps, 4 * hidden, batch), dtype=dtype)
+            cs = np.empty((steps, hidden, batch), dtype=dtype)
+            tcs = np.empty_like(cs)
+        x_proj = layer_in.reshape(steps * batch, -1) @ layer.wx
+        x_proj += layer.b
+        x_proj = np.ascontiguousarray(x_proj.reshape(steps, batch, -1).transpose(0, 2, 1))
+        wh_t = layer.wh.T
         for t in range(steps):
-            if keep is not None:
-                h = h * keep[t]
-                c = c * keep[t]
-            z = x_proj[t] + h @ layer.wh
-            i = sigmoid(z[:, :hidden])
-            f = sigmoid(z[:, hidden:2 * hidden])
-            g = np.tanh(z[:, 2 * hidden:3 * hidden])
-            o = sigmoid(z[:, 3 * hidden:])
-            c = f * c + i * g
-            tct = np.tanh(c)
-            h = o * tct
-            hs[t] = h
-            if want_cache:
-                i_g[t], f_g[t], g_g[t], o_g[t], cs[t], tc[t] = i, f, g, o, c, tct
-        new_state.append((h, c))
+            if t in reset_steps:
+                h = h * keep_rows[t]
+                c = c * keep_rows[t]
+            a = np.matmul(wh_t, h, out=None if acts is None else acts[t])
+            a += x_proj[t]
+            a *= scale
+            np.tanh(a, out=a)
+            a *= scale
+            a += shift  # a = [i, f, g, o]
+            c = np.multiply(a[hidden:2 * hidden], c, out=None if cs is None else cs[t])
+            c += a[:hidden] * a[2 * hidden:3 * hidden]
+            h = np.multiply(a[3 * hidden:], np.tanh(c, out=None if tcs is None else tcs[t]),
+                            out=hs[t])
+        new_state.append((h.T, c.T))
+        hs = hs.transpose(0, 2, 1)  # (T,B,H)
         if want_cache:
             cache.inputs.append(layer_in)
-            cache.gates.append((i_g, f_g, g_g, o_g))
+            cache.acts.append(acts)
             cache.cells.append(cs)
-            cache.tanh_c.append(tc)
+            cache.tanh_c.append(tcs)
             cache.hiddens.append(hs)
-        layer_in = hs
-        if masks is not None:
-            layer_in = layer_in * masks[li + 1]
+        layer_in = np.ascontiguousarray(hs) if masks is None else hs * masks[li + 1]
 
     if want_cache:
         cache.top = layer_in
@@ -231,29 +268,35 @@ def xent_loss(logits: np.ndarray, targets: np.ndarray, mask: np.ndarray | None =
     (all of them when mask is None).
 
     Returns (loss, dlogits) with dlogits already scaled by 1/positions.
+    Computed as a log-sum-exp: the loss stays finite for any finite logits,
+    and non-finite logits give a non-finite loss.
     """
     steps, batch, n_out = logits.shape
     if steps == 0:
         return 0.0, np.zeros_like(logits)
-    probs = softmax(logits)
-    flat = probs.reshape(-1, n_out)
+    flat = logits.reshape(-1, n_out)
+    rows = np.arange(flat.shape[0])
     tflat = targets.reshape(-1)
-    with np.errstate(divide="ignore"):  # divergent logits surface as inf loss
-        lp = np.log(flat[np.arange(flat.shape[0]), tflat])
-    dflat = flat
-    dflat[np.arange(flat.shape[0]), tflat] -= 1.0
     if mask is None:
         positions = flat.shape[0]
-        loss = -float(lp.mean())
+        weight = 1.0 / positions
     else:
         mflat = mask.reshape(-1)
         positions = int(mflat.sum())
         if positions == 0:
             return 0.0, np.zeros_like(logits)
-        loss = -float(lp[mflat].sum()) / positions
-        dflat[~mflat] = 0.0
-    dflat /= positions
-    return loss, dflat.reshape(steps, batch, n_out)
+        weight = mflat.astype(flat.dtype)
+        weight /= positions
+    e = flat - flat.max(axis=1, keepdims=True)
+    nll = -e[rows, tflat]
+    np.exp(e, out=e)
+    sums = e.sum(axis=1)
+    nll += np.log(sums)
+    loss = float(nll.sum() if mask is None else nll[mflat].sum()) / positions
+    # softmax minus one-hot, times each position's weight, in one pass
+    e *= (weight / sums)[:, None]
+    e[rows, tflat] -= weight
+    return loss, e.reshape(steps, batch, n_out)
 
 
 def stack_backward(params: StackParams, cache: ForwardCache, dlogits: np.ndarray) -> StackParams:
@@ -262,69 +305,75 @@ def stack_backward(params: StackParams, cache: ForwardCache, dlogits: np.ndarray
     Truncated BPTT: the chunk's initial state is treated as constant.
     """
     steps, batch, _ = dlogits.shape
+    n = steps * batch
     hidden = params.layers[0].wh.shape[0]
-    grads = params.zeros_like()
+    dtype = params.emb.dtype
+    keep_rows = cache.keep_rows
 
     out_w = params.emb.T if params.tied else params.out_w
-    top_flat = cache.top.reshape(steps * batch, -1)
-    dl_flat = dlogits.reshape(steps * batch, -1)
-    d_out_w = top_flat.T @ dl_flat  # (H, V)
-    grads.out_b += dl_flat.sum(axis=0)
-    if params.tied:
-        grads.emb += d_out_w.T
-    else:
-        grads.out_w += d_out_w
-    d_top = dl_flat @ out_w.T
-    d_layer_out = d_top.reshape(steps, batch, -1)
+    dl_flat = dlogits.reshape(n, -1)
+    d_out_w = cache.top.reshape(n, -1).T @ dl_flat  # (H, V)
+    d_out_b = dl_flat.sum(axis=0)
+    d_layer_out = (dl_flat @ out_w.T).reshape(steps, batch, -1)
     if cache.masks is not None:
-        d_layer_out = d_layer_out * cache.masks[len(params.layers)]
+        d_layer_out *= cache.masks[len(params.layers)]
 
+    layer_grads = [None] * len(params.layers)
     for li in range(len(params.layers) - 1, -1, -1):
         layer = params.layers[li]
-        i_g, f_g, g_g, o_g = cache.gates[li]
-        cells = cache.cells[li]
+        acts = cache.acts[li]
         tanh_c = cache.tanh_c[li]
-        hiddens = cache.hiddens[li]
-        x_in = cache.inputs[li]
-        glayer = grads.layers[li]
-        d_x_in = np.empty_like(x_in)
-        dh_next = np.zeros((batch, hidden), dtype=params.emb.dtype)
+        i, f, g, o = (acts[:, k * hidden:(k + 1) * hidden] for k in range(4))
+        c_prev = np.concatenate([cache.c0[li].T[None], cache.cells[li][:-1]])
+        h_prev = np.concatenate([cache.h0[li][None], cache.hiddens[li][:-1]])
+        f_keep = f
+        if keep_rows is not None:
+            c_prev *= keep_rows
+            h_prev *= keep_rows.transpose(0, 2, 1)
+            f_keep = f * keep_rows
+
+        # off the recurrence: dz = [dc*g, dc*c_prev, dc*i, dh*tanh_c] * act'
+        acts4 = acts.reshape(steps, 4, hidden, batch)
+        local = acts4 * (1.0 - acts4)  # sigmoid' on i, f, o
+        np.subtract(1.0, g * g, out=local[:, 2])  # tanh' on g
+        for k, factor in enumerate((g, c_prev, i, tanh_c)):
+            local[:, k] *= factor
+        o_dtanh = o * (1.0 - tanh_c * tanh_c)
+        d_out = np.ascontiguousarray(d_layer_out.transpose(0, 2, 1))
+
+        dz = np.empty((steps, 4, hidden, batch), dtype=dtype)
+        dh_next = np.zeros((hidden, batch), dtype=dtype)
         dc_next = np.zeros_like(dh_next)
         for t in range(steps - 1, -1, -1):
-            dh = d_layer_out[t] + dh_next
-            i, f, g, o = i_g[t], f_g[t], g_g[t], o_g[t]
-            tc = tanh_c[t]
-            do = dh * tc
-            dc = dh * o * (1.0 - tc * tc) + dc_next
-            c_prev = cells[t - 1] if t > 0 else cache.c0[li]
-            h_prev = hiddens[t - 1] if t > 0 else cache.h0[li]
-            if cache.keep is not None:
-                c_prev = c_prev * cache.keep[t]
-                h_prev = h_prev * cache.keep[t]
-            di = dc * g
-            dg = dc * i
-            df = dc * c_prev
-            dc_next = dc * f
-            dz = np.concatenate(
-                [di * i * (1.0 - i), df * f * (1.0 - f), dg * (1.0 - g * g), do * o * (1.0 - o)],
-                axis=1,
-            )
-            glayer.wx += x_in[t].T @ dz
-            glayer.wh += h_prev.T @ dz
-            glayer.b += dz.sum(axis=0)
-            d_x_in[t] = dz @ layer.wx.T
-            dh_next = dz @ layer.wh.T
-            if cache.keep is not None:
-                dc_next = dc_next * cache.keep[t]
-                dh_next = dh_next * cache.keep[t]
-        d_layer_out = d_x_in
-        if cache.masks is not None:
-            d_layer_out = d_layer_out * cache.masks[li]
+            dh = d_out[t] + dh_next
+            dc = dh * o_dtanh[t]
+            dc += dc_next
+            np.multiply(local[t, :3], dc, out=dz[t, :3])
+            np.multiply(local[t, 3], dh, out=dz[t, 3])
+            dc_next = dc * f_keep[t]
+            dh_next = layer.wh @ dz[t].reshape(4 * hidden, batch)
+            if t in cache.reset_steps:
+                dh_next *= keep_rows[t]
 
-    # embedding-lookup gradient (d_layer_out is now the grad wrt emb rows)
-    emb_grad = d_layer_out.reshape(steps * batch, -1)
-    np.add.at(grads.emb, cache.x_ids.reshape(-1), emb_grad)
-    return grads
+        # free the gate-row buffers before the products: at H=650 each is
+        # as large as a weight gradient
+        del local, c_prev, f_keep, o_dtanh, d_out
+        dz = dz.reshape(steps, 4 * hidden, batch).transpose(0, 2, 1).reshape(n, 4 * hidden)
+        layer_grads[li] = LayerParams(cache.inputs[li].reshape(n, -1).T @ dz,
+                                      h_prev.reshape(n, hidden).T @ dz, dz.sum(axis=0))
+        d_layer_out = (dz @ layer.wx.T).reshape(steps, batch, -1)
+        if cache.masks is not None:
+            d_layer_out *= cache.masks[li]
+
+    # embedding-lookup gradient: d_layer_out is now the grad wrt the looked-up
+    # rows; a one-hot (vocab, positions) matrix sums them per token id
+    onehot = sparse.csc_matrix((np.ones(n, dtype=dtype), cache.x_ids.reshape(-1),
+                                np.arange(n + 1)), shape=(params.emb.shape[0], n))
+    d_emb = onehot @ d_layer_out.reshape(n, -1)
+    if params.tied:
+        d_emb += d_out_w.T
+        d_out_w = None
+    return StackParams(d_emb, layer_grads, d_out_w, d_out_b)
 
 
 def global_norm(grads: StackParams) -> float:

@@ -24,7 +24,21 @@ LR_POLICIES = ("medtext2", "medtext103")
 
 
 class DivergenceError(RuntimeError):
-    """Training loss became non-finite."""
+    """Training perplexity or gradient norm became non-finite."""
+
+
+# the largest mean loss whose perplexity exp(loss) is a finite float
+MAX_LOSS = math.log(np.finfo(np.float64).max)
+
+
+def check_divergence(loss: float, grad_norm: float, where: str) -> None:
+    """Raise DivergenceError unless exp(loss) and grad_norm are finite.
+
+    The log-sum-exp loss stays finite for finite logits, so a diverged
+    model can show a huge but finite loss; its perplexity overflows."""
+    if not (loss <= MAX_LOSS and math.isfinite(grad_norm)):
+        raise DivergenceError(f"non-finite perplexity or gradient norm {where} "
+                              f"(loss {loss:.4g}, gradient norm {grad_norm:.4g})")
 
 
 @dataclass
@@ -184,11 +198,9 @@ def train_lstm_lm(train: Corpus, valid: Corpus, vocab, config: LstmLmConfig) -> 
                                                       want_cache=True,
                                                       reset_mask=(x == model.eon_id))
             loss, dlogits = core.xent_loss(logits, y)
-            if not math.isfinite(loss):
-                raise DivergenceError(
-                    f"non-finite loss at epoch {epoch}, chunk {chunk_idx}")
             grads = core.stack_backward(params, cache, dlogits)
-            core.clip_gradients(grads, config.grad_clip)
+            norm = core.clip_gradients(grads, config.grad_clip)
+            check_divergence(loss, norm, f"at epoch {epoch}, chunk {chunk_idx}")
             core.sgd_step(params, grads, lr)
             epoch_loss += loss * x.size
             epoch_positions += x.size

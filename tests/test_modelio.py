@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from synthnotes.corpus import Corpus, EON_TOKEN, Note, UNK_TOKEN, Vocabulary
-from synthnotes.lm import train_bigram, train_unigram
+from synthnotes.lm import perplexity, train_bigram, train_unigram
 from synthnotes.modelio import MAGIC, ModelFormatError, load_model, model_bytes, save_model
 from synthnotes.neural import LstmLmConfig, train_lstm_lm
 
@@ -51,6 +51,20 @@ class TestRoundtrip:
         ids = [2, 3, 2]
         np.testing.assert_array_equal(back.sequence_log_probs(ids),
                                       model.sequence_log_probs(ids))
+
+    def test_float32_lstm_reloads_exactly(self, tmp_path):
+        config = LstmLmConfig(hidden_size=8, layers=2, epochs=2, seed=1, initial_lr=1.0,
+                              batch_size=2, bptt=5, dtype="float32")
+        corpus = fixture_corpus()
+        model = train_lstm_lm(corpus, corpus, fixture_vocab(), config)
+        path = tmp_path / "m.ptlm"
+        save_model(model, path)
+        back = load_model(path)
+        for (name, arr), (_, orig) in zip(back.params.named_arrays(),
+                                          model.params.named_arrays()):
+            assert arr.dtype == np.float32, name
+            assert np.array_equal(arr, orig), name
+        assert perplexity(back, corpus) == perplexity(model, corpus)
 
     def test_bytes_are_stable(self):
         model = train_unigram(fixture_corpus(), fixture_vocab())

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from synthnotes.corpus import Corpus, EON_TOKEN, Note, UNK_TOKEN, Vocabulary
 from synthnotes import lm
+from synthnotes.neural import language_model
 from synthnotes.neural import (
     CharTaggerConfig,
     DivergenceError,
@@ -49,6 +51,179 @@ def finite_difference_check(params, loss_fn, grads, n_coords, seed=7, eps=1e-5, 
         analytic = garr[idx]
         worst = max(worst, abs(numeric - analytic) / max(abs(numeric), abs(analytic), floor))
     return worst
+
+
+def reference_forward(params, x_ids, state, masks=None, reset_mask=None):
+    """Per-timestep float64 reference: logistic gates, one step at a time.
+    Returns (logits, final_state, cache dict)."""
+    steps, batch = x_ids.shape
+    hidden = params.layers[0].wh.shape[0]
+    keep = None if reset_mask is None else 1.0 - reset_mask.astype(float)[:, :, None]
+    cache = {"x_ids": x_ids, "masks": masks, "keep": keep, "h0": [s[0] for s in state],
+             "c0": [s[1] for s in state], "inputs": [], "gates": [], "cells": [],
+             "tanh_c": [], "hiddens": []}
+    layer_in = params.emb[x_ids]
+    if masks is not None:
+        layer_in = layer_in * masks[0]
+    new_state = []
+    for li, layer in enumerate(params.layers):
+        h, c = state[li]
+        gates = np.empty((4, steps, batch, hidden))
+        cs, tcs, hs = (np.empty((steps, batch, hidden)) for _ in range(3))
+        x_proj = (layer_in.reshape(steps * batch, -1) @ layer.wx).reshape(steps, batch, -1) + layer.b
+        for t in range(steps):
+            if keep is not None:
+                h = h * keep[t]
+                c = c * keep[t]
+            z = x_proj[t] + h @ layer.wh
+            i = expit(z[:, :hidden])
+            f = expit(z[:, hidden:2 * hidden])
+            g = np.tanh(z[:, 2 * hidden:3 * hidden])
+            o = expit(z[:, 3 * hidden:])
+            c = f * c + i * g
+            tc = np.tanh(c)
+            h = o * tc
+            gates[:, t] = i, f, g, o
+            cs[t], tcs[t], hs[t] = c, tc, h
+        new_state.append((h, c))
+        for key, val in (("inputs", layer_in), ("gates", gates), ("cells", cs),
+                         ("tanh_c", tcs), ("hiddens", hs)):
+            cache[key].append(val)
+        layer_in = hs if masks is None else hs * masks[li + 1]
+    cache["top"] = layer_in
+    out_w = params.emb.T if params.tied else params.out_w
+    logits = (layer_in.reshape(steps * batch, -1) @ out_w + params.out_b).reshape(steps, batch, -1)
+    return logits, new_state, cache
+
+
+def reference_backward(params, cache, dlogits):
+    """Per-timestep float64 reference: every product inside the reverse
+    loop, embedding rows scattered with np.add.at."""
+    steps, batch, _ = dlogits.shape
+    hidden = params.layers[0].wh.shape[0]
+    keep = cache["keep"]
+    grads = {name: np.zeros_like(arr) for name, arr in params.named_arrays()}
+    out_w = params.emb.T if params.tied else params.out_w
+    dl_flat = dlogits.reshape(steps * batch, -1)
+    d_out_w = cache["top"].reshape(steps * batch, -1).T @ dl_flat
+    grads["out_b"] += dl_flat.sum(axis=0)
+    grads["emb" if params.tied else "out_w"] += d_out_w.T if params.tied else d_out_w
+    d_layer_out = (dl_flat @ out_w.T).reshape(steps, batch, -1)
+    if cache["masks"] is not None:
+        d_layer_out = d_layer_out * cache["masks"][len(params.layers)]
+    for li in range(len(params.layers) - 1, -1, -1):
+        layer = params.layers[li]
+        i_g, f_g, g_g, o_g = cache["gates"][li]
+        d_x_in = np.empty_like(cache["inputs"][li])
+        dh_next = np.zeros((batch, hidden))
+        dc_next = np.zeros((batch, hidden))
+        for t in range(steps - 1, -1, -1):
+            dh = d_layer_out[t] + dh_next
+            i, f, g, o = i_g[t], f_g[t], g_g[t], o_g[t]
+            tc = cache["tanh_c"][li][t]
+            c_prev = cache["cells"][li][t - 1] if t > 0 else cache["c0"][li]
+            h_prev = cache["hiddens"][li][t - 1] if t > 0 else cache["h0"][li]
+            if keep is not None:
+                c_prev = c_prev * keep[t]
+                h_prev = h_prev * keep[t]
+            dc = dh * o * (1.0 - tc * tc) + dc_next
+            dz = np.concatenate([dc * g * i * (1.0 - i), dc * c_prev * f * (1.0 - f),
+                                 dc * i * (1.0 - g * g), dh * tc * o * (1.0 - o)], axis=1)
+            grads[f"l{li}.wx"] += cache["inputs"][li][t].T @ dz
+            grads[f"l{li}.wh"] += h_prev.T @ dz
+            grads[f"l{li}.b"] += dz.sum(axis=0)
+            d_x_in[t] = dz @ layer.wx.T
+            dc_next = dc * f
+            dh_next = dz @ layer.wh.T
+            if keep is not None:
+                dc_next = dc_next * keep[t]
+                dh_next = dh_next * keep[t]
+        d_layer_out = d_x_in
+        if cache["masks"] is not None:
+            d_layer_out = d_layer_out * cache["masks"][li]
+    np.add.at(grads["emb"], cache["x_ids"].reshape(-1), d_layer_out.reshape(steps * batch, -1))
+    return grads
+
+
+def reference_xent(logits, targets, mask=None):
+    """Softmax, then log of the target probability; mean over the mask."""
+    probs = core.softmax(logits).reshape(-1, logits.shape[-1])
+    rows = np.arange(probs.shape[0])
+    tflat = targets.reshape(-1)
+    mflat = np.ones(rows.size, dtype=bool) if mask is None else mask.reshape(-1)
+    positions = int(mflat.sum())
+    lp = np.log(probs[rows, tflat])
+    probs[rows, tflat] -= 1.0
+    probs[~mflat] = 0.0
+    return -float(lp[mflat].sum()) / positions, (probs / positions).reshape(logits.shape)
+
+
+def assert_rel_close(actual, expected, rtol=1e-12):
+    """Max abs difference within rtol of the reference array's max abs value."""
+    scale = max(float(np.max(np.abs(expected))), 1e-300)
+    assert actual.shape == expected.shape
+    assert float(np.max(np.abs(actual - expected))) <= rtol * scale
+
+
+KERNEL_CASES = {
+    "tied": dict(tied=True),
+    "untied": dict(tied=False),
+    "dropout-resets": dict(tied=True, dropout=0.3, resets=0.25),
+    "carried-state-resets": dict(tied=False, carried=True, resets=0.2),
+    "all-features": dict(tied=True, carried=True, dropout=0.4, resets=0.3),
+    "single-step": dict(tied=True, steps=1, batch=1, carried=True),
+    "tagger": dict(tied=False, steps=13, batch=8, vocab=30, out_dim=2, hidden=10, layers=1,
+                   dropout=0.2, mask=True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+def test_kernel_matches_per_timestep_reference(case):
+    opts = dict(tied=True, steps=7, batch=3, vocab=12, hidden=8, layers=2, out_dim=None,
+                carried=False, dropout=0.0, resets=0.0, mask=False)
+    opts.update(KERNEL_CASES[case])
+    rng = np.random.default_rng(sorted(KERNEL_CASES).index(case))
+    steps, batch, hidden = opts["steps"], opts["batch"], opts["hidden"]
+    out_dim = opts["out_dim"] or opts["vocab"]
+    params = core.init_stack(rng, opts["vocab"], hidden, hidden, opts["layers"],
+                             out_dim=None if opts["tied"] else out_dim, tied=opts["tied"],
+                             init_scale=0.8)
+    x = rng.integers(0, opts["vocab"], size=(steps, batch))
+    y = rng.integers(0, out_dim, size=(steps, batch))
+    if opts["carried"]:
+        state = [(rng.standard_normal((batch, hidden)) * 0.5,
+                  rng.standard_normal((batch, hidden)) * 0.5) for _ in range(opts["layers"])]
+    else:
+        state = core.zero_state(params, batch)
+    masks = core.make_dropout_masks(rng, opts["dropout"], steps, batch, params)
+    reset = rng.random((steps, batch)) < opts["resets"] if opts["resets"] else None
+    mask = rng.random((steps, batch)) < 0.7 if opts["mask"] else None
+
+    ref_logits, ref_state, ref_cache = reference_forward(params, x, state, masks, reset)
+    logits, new_state, cache = core.stack_forward(params, x, state, masks, want_cache=True,
+                                                  reset_mask=reset)
+    eval_logits, eval_state, none = core.stack_forward(params, x, state, masks,
+                                                       reset_mask=reset)
+    assert none is None
+    assert_rel_close(logits, ref_logits)
+    assert np.array_equal(eval_logits, logits)
+    for (h, c), (rh, rc), (eh, ec) in zip(new_state, ref_state, eval_state):
+        assert_rel_close(h, rh)
+        assert_rel_close(c, rc)
+        assert np.array_equal(eh, h) and np.array_equal(ec, c)
+
+    ref_loss, ref_dlogits = reference_xent(ref_logits, y, mask)
+    loss, dlogits = core.xent_loss(logits, y, mask)
+    assert loss == pytest.approx(ref_loss, rel=1e-12)
+    assert_rel_close(dlogits, ref_dlogits)
+
+    ref_grads = reference_backward(params, ref_cache, ref_dlogits)
+    grads = core.stack_backward(params, cache, ref_dlogits)
+    named = grads.named_arrays()
+    assert [name for name, _ in named] == list(ref_grads)
+    for name, arr in named:
+        assert arr.dtype == np.float64, name
+        assert_rel_close(arr, ref_grads[name])
 
 
 class TestForward:
@@ -207,6 +382,39 @@ class TestTrainLstm:
         with pytest.raises(DivergenceError, match="epoch"):
             train_lstm_lm(corpus, corpus, vocab, config)
 
+    def test_medtext103_lr_floor_and_check_count(self, monkeypatch):
+        corpus, vocab = repeated_sentence_corpus()
+        lrs = []
+        valid_calls = []
+        sgd_step, valid_nll = core.sgd_step, language_model._valid_nll
+
+        def recording_step(params, grads, lr):
+            lrs.append(lr)
+            sgd_step(params, grads, lr)
+
+        def counting_valid(*args):
+            valid_calls.append(len(lrs))
+            return valid_nll(*args)
+
+        monkeypatch.setattr(core, "sgd_step", recording_step)
+        monkeypatch.setattr(language_model, "_valid_nll", counting_valid)
+        epochs = 2
+        # min_improvement above any achievable gain: every check decays the lr
+        config = LstmLmConfig(hidden_size=4, layers=1, epochs=epochs, seed=3, initial_lr=1.0,
+                              min_lr=0.5, min_improvement=1e9, batch_size=2, bptt=1,
+                              lr_decay_policy="medtext103")
+        model = train_lstm_lm(corpus, corpus, vocab, config)
+        n_chunks = len(lrs) // epochs
+        assert n_chunks > 80  # so that checks are spaced more than one chunk apart
+        check_every = n_chunks // 40
+        assert check_every == 2
+        # n_chunks // check_every in-epoch checks plus one at each epoch end
+        assert len(valid_calls) == epochs * (n_chunks // check_every + 1)
+        assert valid_calls[0] == check_every
+        assert min(lrs) == config.min_lr
+        assert lrs[-1] == config.min_lr
+        assert all(h["lr"] >= config.min_lr for h in model.history)
+
     def test_history_and_lr_policy(self):
         corpus, vocab = repeated_sentence_corpus()
         config = LstmLmConfig(hidden_size=8, layers=2, epochs=6, seed=1,
@@ -261,6 +469,14 @@ class TestCharTagger:
         b = train_char_classifier([[1, 2, 1]], [[0, 1, 0]], n_symbols=3, config=config)
         for (_, pa), (_, pb) in zip(a.params.named_arrays(), b.params.named_arrays()):
             assert np.array_equal(pa, pb)
+
+    def test_divergence_reported(self):
+        seqs = [[1, 2, 3, 4, 2, 1], [3, 3, 1, 2]] * 4
+        labels = [[0, 1, 0, 1, 1, 0], [1, 0, 0, 1]] * 4
+        config = CharTaggerConfig(hidden=8, emb_dim=4, epochs=4, lr=1e18, grad_clip=1e18,
+                                  batch_size=2, seed=0)
+        with pytest.raises(DivergenceError, match="epoch"):
+            train_char_classifier(seqs, labels, n_symbols=5, config=config)
 
     def test_misaligned_labels_rejected(self):
         config = CharTaggerConfig(hidden=8, emb_dim=4, epochs=1, seed=0)
