@@ -27,16 +27,12 @@ class SgnsConfig:
     noise_power: float = 0.75  # negative-sampling distribution exponent
     batch_pairs: int = 512
     seed: int = 0
-    workers: int = 1  # >1 trains pair shards in processes and averages them;
-                      # conformance (bit-reproducible) mode is workers=1
 
     def __post_init__(self):
         if self.dim < 1 or self.window < 1 or self.iterations < 1:
             raise ValueError("dim, window and iterations must be >= 1")
         if self.negatives < 1:
             raise ValueError("negatives must be >= 1")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -121,12 +117,6 @@ def _sgd_pass(w_in, w_out, centers, contexts, cdf, config: SgnsConfig,
     return seen
 
 
-def _shard_task(w_in, w_out, centers, contexts, cdf, config, seed_key, seen, total_visits):
-    rng = np.random.default_rng(seed_key)
-    _sgd_pass(w_in, w_out, centers, contexts, cdf, config, rng, seen, total_visits)
-    return w_in, w_out
-
-
 def train_sgns(corpus: Corpus, config: SgnsConfig = SgnsConfig()) -> EmbeddingSet:
     """Train skip-gram negative-sampling embeddings on a corpus.
 
@@ -168,29 +158,9 @@ def train_sgns(corpus: Corpus, config: SgnsConfig = SgnsConfig()) -> EmbeddingSe
 
     total_visits = config.iterations * len(centers)
     seen = 0
-    if config.workers == 1:
-        for _ in range(config.iterations):
-            seen = _sgd_pass(w_in, w_out, centers, contexts, cdf, config, rng,
-                             seen, total_visits)
-    else:
-        # data-parallel mode: shards train on parameter copies, the results
-        # are averaged per iteration; deterministic but not identical to the
-        # serial conformance mode
-        import concurrent.futures
-
-        shards = np.array_split(np.arange(len(centers)), config.workers)
-        with concurrent.futures.ProcessPoolExecutor(max_workers=config.workers) as pool:
-            for iteration in range(config.iterations):
-                futures = [
-                    pool.submit(_shard_task, w_in.copy(), w_out.copy(),
-                                centers[idx], contexts[idx], cdf, config,
-                                (config.seed, iteration, si), seen, total_visits)
-                    for si, idx in enumerate(shards)
-                ]
-                results = [f.result() for f in futures]
-                w_in = np.mean([r[0] for r in results], axis=0)
-                w_out = np.mean([r[1] for r in results], axis=0)
-                seen += len(centers)
+    for _ in range(config.iterations):
+        seen = _sgd_pass(w_in, w_out, centers, contexts, cdf, config, rng,
+                         seen, total_visits)
 
     return EmbeddingSet(
         words=tuple(words),

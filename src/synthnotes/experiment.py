@@ -12,6 +12,7 @@ byte-identical regardless of the worker-pool size.
 from __future__ import annotations
 
 import configparser
+import functools
 import hashlib
 import json
 import logging
@@ -258,24 +259,6 @@ def read_report(path: str | Path) -> dict:
     return json.loads(Path(path).read_text(encoding="utf-8"))
 
 
-class UnigramTrainer:
-    """Deterministic corpus -> unigram model procedure (picklable)."""
-
-    def __init__(self, vocab):
-        self.vocab = vocab
-
-    def __call__(self, corpus):
-        return lm.train_unigram(corpus, self.vocab)
-
-
-class BigramTrainer:
-    def __init__(self, vocab):
-        self.vocab = vocab
-
-    def __call__(self, corpus):
-        return lm.train_bigram(corpus, self.vocab)
-
-
 class LstmTrainer:
     """Deterministic corpus -> LSTM model procedure with a fixed seed and a
     fixed validation corpus (shared across leave-one-out folds)."""
@@ -395,9 +378,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         kind, dropout = parse_cell(cell)
         label = _cell_label(kind, dropout)
         if kind == "unigram":
-            trainer = UnigramTrainer(vocab)
+            trainer = functools.partial(lm.train_unigram, vocab=vocab)
         elif kind == "bigram":
-            trainer = BigramTrainer(vocab)
+            trainer = functools.partial(lm.train_bigram, vocab=vocab)
         else:
             lstm_cfg = LstmLmConfig(
                 hidden_size=config.lstm_hidden, layers=config.lstm_layers,

@@ -46,11 +46,6 @@ def sample_from_distribution(dist: np.ndarray, temperature: float,
     return int(np.searchsorted(cdf, rng.random() * cdf[-1], side="right"))
 
 
-def sample_next(model: LanguageModel, context, temperature: float,
-                rng: np.random.Generator) -> int:
-    return sample_from_distribution(model.next_distribution(context), temperature, rng)
-
-
 def generate_corpus(model: LanguageModel, config: GenerationConfig,
                     id_prefix: str = "gen") -> Corpus:
     """Sample a synthetic corpus; the model is consumed read-only."""

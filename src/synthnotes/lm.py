@@ -24,11 +24,21 @@ def token_space(vocab) -> tuple[str, ...]:
 
 
 class LanguageModel:
-    """Base contract: log p(next | context) over a fixed token space.
+    """Base contract over a fixed token space, in natural-log probabilities.
 
-    Subclasses must implement :meth:`next_distribution`; the remaining
-    operations have generic (possibly slow) defaults that subclasses may
-    override for efficiency.
+    A model answers exactly three questions:
+
+    - :meth:`start_state` -- the state before any token (``None`` for
+      models without a recurrent state);
+    - :meth:`step` -- consume one token id and return the next-token
+      probability vector with the new state; ancestral sampling walks this;
+    - :meth:`sequence_log_probs` -- per-position ``log p(w_i | w_1..i-1)``
+      for one note, scored from a fresh note start; perplexity and the
+      privacy audit use this.
+
+    A note starts from the end-of-note id (an unseen context when the token
+    space lacks it), so scoring ``ids`` equals the log of the :meth:`step`
+    distributions walked along ``[eon_id] + ids``.
     """
 
     def __init__(self, vocab):
@@ -43,28 +53,24 @@ class LanguageModel:
     def token_id(self, token: str) -> int:
         return self._ids[token]
 
-    def next_distribution(self, context: list[int]) -> np.ndarray:
-        """Probability vector over the token space given preceding ids."""
-        raise NotImplementedError
-
-    def log_prob(self, token_id: int, context: list[int]) -> float:
-        if not 0 <= token_id < self.vocab_size:
-            raise ValueError(f"token id {token_id} outside vocabulary of size {self.vocab_size}")
-        return float(np.log(self.next_distribution(context)[token_id]))
-
-    def sequence_log_probs(self, ids: list[int]) -> np.ndarray:
-        """Per-position log p(w_i | w_1..i-1) with the context restricted to
-        the given sequence (fresh state at position 0)."""
-        return np.array([self.log_prob(ids[i], ids[:i]) for i in range(len(ids))])
-
-    # incremental interface used by ancestral sampling
     def start_state(self):
-        return []
+        return None
 
     def step(self, token_id: int, state):
         """Consume one token, return (next-token distribution, new state)."""
-        state = state + [token_id]
-        return self.next_distribution(state), state
+        raise NotImplementedError
+
+    def sequence_log_probs(self, ids) -> np.ndarray:
+        """Per-position log p(w_i | w_1..i-1) with the context restricted to
+        the given sequence (fresh state at position 0); ids outside the
+        token space raise ValueError."""
+        raise NotImplementedError
+
+    def _checked_ids(self, ids) -> np.ndarray:
+        arr = np.asarray(ids, dtype=np.int64)
+        if arr.size and not (arr.min() >= 0 and arr.max() < self.vocab_size):
+            raise ValueError(f"token ids outside vocabulary of size {self.vocab_size}")
+        return arr
 
     def encode_note(self, note: Note) -> list[int]:
         return [self._ids[tok] for tok in note.tokens]
@@ -94,11 +100,11 @@ class UniformModel(LanguageModel):
     def train(self, corpus: Corpus) -> "UniformModel":
         return self
 
-    def next_distribution(self, context) -> np.ndarray:
-        return np.full(self.vocab_size, 1.0 / self.vocab_size)
+    def step(self, token_id: int, state=None):
+        return np.full(self.vocab_size, 1.0 / self.vocab_size), None
 
     def sequence_log_probs(self, ids) -> np.ndarray:
-        return np.full(len(ids), -math.log(self.vocab_size))
+        return np.full(len(self._checked_ids(ids)), -math.log(self.vocab_size))
 
 
 class UnigramModel(LanguageModel):
@@ -124,22 +130,11 @@ class UnigramModel(LanguageModel):
         self._log_probs = self._smoothed_log_probs()
         return self
 
-    def next_distribution(self, context) -> np.ndarray:
-        return np.exp(self._log_probs)
-
-    def log_prob(self, token_id: int, context=()) -> float:
-        if not 0 <= token_id < self.vocab_size:
-            raise ValueError(f"token id {token_id} outside vocabulary of size {self.vocab_size}")
-        return float(self._log_probs[token_id])
-
     def sequence_log_probs(self, ids) -> np.ndarray:
-        return self._log_probs[np.asarray(ids, dtype=np.int64)] if len(ids) else np.zeros(0)
+        return self._log_probs[self._checked_ids(ids)]
 
     def step(self, token_id: int, state=None):
         return np.exp(self._log_probs), None
-
-    def start_state(self):
-        return None
 
 
 class BigramModel(LanguageModel):
@@ -171,26 +166,20 @@ class BigramModel(LanguageModel):
         self._row_totals = totals
         return self
 
-    def _context_id(self, context):
-        if context is None or len(context) == 0:
-            return self.eon_id
-        return context[-1]
-
-    def next_distribution(self, context) -> np.ndarray:
-        ctx = self._context_id(context)
-        dist = np.ones(self.vocab_size)
-        total = self.vocab_size
-        if ctx is not None and ctx in self._rows:
-            for tok, c in self._rows[ctx].items():
-                dist[tok] += c
-            total += self._row_totals[ctx]
-        return dist / total
-
     def step(self, token_id: int, state=None):
-        return self.next_distribution([token_id]), None
+        dist = np.ones(self.vocab_size)
+        for tok, c in self._rows.get(token_id, {}).items():
+            dist[tok] += c
+        return dist / (self._row_totals.get(token_id, 0) + self.vocab_size), None
 
-    def start_state(self):
-        return None
+    def sequence_log_probs(self, ids) -> np.ndarray:
+        probs = np.empty(len(ids))
+        prev = self.eon_id
+        for i, tok in enumerate(self._checked_ids(ids).tolist()):
+            count = self._rows.get(prev, {}).get(tok, 0)
+            probs[i] = (1 + count) / (self._row_totals.get(prev, 0) + self.vocab_size)
+            prev = tok
+        return np.log(probs)
 
 
 def train_unigram(corpus: Corpus, vocab) -> UnigramModel:

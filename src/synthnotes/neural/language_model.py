@@ -92,16 +92,11 @@ class LstmLmModel(LanguageModel):
             state = self.start_state()  # note boundary: fresh context
         return core.lstm_step(self.params, token_id, state)
 
-    def next_distribution(self, context) -> np.ndarray:
-        ids = [self.eon_id] + list(context)
-        x = np.array(ids, dtype=np.int64).reshape(-1, 1)
-        logits, _, _ = core.stack_forward(self.params, x, core.zero_state(self.params, 1))
-        return core.softmax(logits[-1, 0])
-
     def sequence_log_probs(self, ids) -> np.ndarray:
+        ids = self._checked_ids(ids)
         if len(ids) == 0:
             return np.zeros(0)
-        total, _, per_token = batched_note_nll(self.params, [list(ids)], self.eon_id)
+        total, _, per_token = batched_note_nll(self.params, [ids.tolist()], self.eon_id)
         return per_token[0]
 
 

@@ -225,19 +225,6 @@ def analyze_report(report: PrivacyReport) -> PrivacyAnalysis:
     )
 
 
-def pdtp_point(predictor_full: Callable, predictor_loo: Callable, record, outcomes) -> float:
-    """Pointwise score for enumerable-outcome predictors: the largest
-    absolute log-probability difference over the outcome set."""
-    full = dict(predictor_full(record))
-    loo = dict(predictor_loo(record))
-    expected = set(outcomes)
-    if set(full) != expected or set(loo) != expected:
-        raise ValueError("predictors disagree with the outcome set")
-    if not expected:
-        raise ValueError("outcome set is empty")
-    return max(abs(full[y] - loo[y]) for y in expected)
-
-
 def write_privacy_report(report: PrivacyReport, path: str | Path) -> None:
     Path(path).write_text(json.dumps(report.as_dict(), indent=2, sort_keys=True) + "\n",
                           encoding="utf-8")

@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from synthnotes import corpus as corpus_mod, lm
 from synthnotes.cli import EXIT_CONFIG, EXIT_OK, main
 
 
@@ -44,6 +45,44 @@ class TestPipeline:
         data = json.loads((workdir / "priv.json").read_text())
         assert data["aggregate"] >= 0.0
         assert len(data["records"]) == 3
+
+    def test_bigram_train_perplexity_generate(self, workdir, capsys):
+        run("template", "--seed", "1", "--notes", "40", "--outdir", "t")
+        run("preprocess", "--input", "t/notes.txt", "--outdir", "c",
+            "--seed", "2", "--min-count", "2")
+        assert run("train-lm", "--kind", "bigram", "--train", "c/train.txt",
+                   "--vocab", "c/vocab.tsv", "--out", "bi.ptlm") == EXIT_OK
+        assert run("perplexity", "--model", "bi.ptlm", "--corpus", "c/valid.txt") == EXIT_OK
+        ppl = float(capsys.readouterr().out.strip().splitlines()[-1])
+        vocab = corpus_mod.read_vocab("c/vocab.tsv")
+        model = lm.train_bigram(corpus_mod.read_corpus("c/train.txt"), vocab)
+        assert ppl == pytest.approx(lm.perplexity(model, corpus_mod.read_corpus("c/valid.txt")),
+                                    abs=1e-6)
+        assert run("generate", "--model", "bi.ptlm", "--out", "synth.txt",
+                   "--target-words", "300", "--seed", "5") == EXIT_OK
+        synth = corpus_mod.read_corpus("synth.txt")
+        assert synth.word_count >= 300
+        assert all(tok in vocab.tokens for note in synth for tok in note.tokens)
+
+    def test_eval_sim_embeddings_file(self, workdir, capsys):
+        run("template", "--seed", "1", "--notes", "60", "--outdir", "t")
+        run("preprocess", "--input", "t/notes.txt", "--outdir", "c",
+            "--seed", "2", "--min-count", "2")
+        capsys.readouterr()
+
+        def eval_sim(seed, *extra):
+            assert run("eval-sim", "--corpus", "c/train.txt", "--benchmark",
+                       "t/benchmark_sim.csv", "--min-count", "1", "--dim", "16",
+                       "--iterations", "1", "--negatives", "3", "--seed", seed,
+                       "--embeddings", "emb.txt", *extra) == EXIT_OK
+            return capsys.readouterr().out, (workdir / "emb.txt").read_bytes()
+
+        written = eval_sim("1")
+        # an existing file is reused: another seed changes neither score nor file
+        assert eval_sim("2") == written
+        out, retrained = eval_sim("2", "--retrain")
+        assert retrained != written[1]
+        assert "spearman" in out
 
     def test_eval_commands(self, workdir, capsys):
         run("template", "--seed", "1", "--notes", "60", "--outdir", "t")

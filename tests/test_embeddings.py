@@ -15,6 +15,7 @@ from synthnotes.embeddings import (
     train_sgns,
     write_benchmark,
     write_embeddings,
+    _sgd_pass,
 )
 
 
@@ -63,6 +64,38 @@ class TestWindowsAndLoss:
                 negatives[j, i] = orig
                 numeric = (hi - lo) / (2 * eps)
                 assert abs(numeric - d_negs[j, i]) / max(abs(numeric), abs(d_negs[j, i]), 1e-6) < 1e-4
+
+    def test_sgd_pass_applies_pair_gradients(self):
+        """One training batch moves every row by -lr times the sum of its
+        pair gradients, all taken at the pre-batch weights."""
+        rng = np.random.default_rng(8)
+        w_in = rng.standard_normal((7, 6)) * 0.5
+        w_out = rng.standard_normal((7, 6)) * 0.5
+        # center 0 and the (0, 1) pair repeat, so duplicate rows must accumulate
+        centers = np.array([0, 0, 2, 3, 0])
+        contexts = np.array([1, 1, 1, 4, 2])
+        # the context words 1, 2 and 4 have no noise mass: no negative collides
+        noise = np.array([1.0, 0.0, 0.0, 2.0, 0.0, 1.0, 3.0])
+        cdf = np.cumsum(noise / noise.sum())
+        config = SgnsConfig(dim=6, negatives=3, initial_lr=0.3)
+        new_in, new_out = w_in.copy(), w_out.copy()
+        seen = _sgd_pass(new_in, new_out, centers, contexts, cdf, config,
+                         np.random.default_rng(5), seen=0, total_visits=100)
+        assert seen == len(centers)
+
+        # the pass draws the batch's negatives from the noise cdf with its rng
+        negs = np.searchsorted(cdf, np.random.default_rng(5).random((len(centers), 3)),
+                               side="right")
+        lr = config.initial_lr
+        want_in, want_out = w_in.copy(), w_out.copy()
+        for c, o, n in zip(centers, contexts, negs):
+            _, d_center, d_context, d_negs = sgns_pair_loss(w_in[c], w_out[o], w_out[n])
+            want_in[c] -= lr * d_center
+            want_out[o] -= lr * d_context
+            for row, grad in zip(n, d_negs):
+                want_out[row] -= lr * grad
+        np.testing.assert_allclose(new_in, want_in, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(new_out, want_out, rtol=0, atol=1e-12)
 
 
 class TestCosine:
@@ -185,16 +218,6 @@ class TestTrainSgns:
         emb = train_sgns(slot_corpus(n_sentences=50), self.config(min_count=20))
         assert "she" in emb
         assert all(np.isfinite(emb.matrix).all() for _ in [0])
-
-    def test_parallel_mode_is_deterministic(self):
-        # shard-averaged training: reproducible, but distinct from the
-        # single-threaded conformance mode
-        corpus = slot_corpus(n_sentences=80)
-        a = train_sgns(corpus, self.config(workers=2, iterations=2))
-        b = train_sgns(corpus, self.config(workers=2, iterations=2))
-        serial = train_sgns(corpus, self.config(iterations=2))
-        assert np.array_equal(a.matrix, b.matrix)
-        assert not np.array_equal(a.matrix, serial.matrix)
 
 
 class TestFiles:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from synthnotes.corpus import Corpus, EON_TOKEN, Note, UNK_TOKEN, read_corpus, write_corpus
-from synthnotes.generation import GenerationConfig, generate_corpus, sample_from_distribution, sample_next
+from synthnotes.generation import GenerationConfig, generate_corpus, sample_from_distribution
 from synthnotes.lm import LanguageModel, train_unigram
 
 
@@ -12,15 +12,6 @@ class CycleModel(LanguageModel):
     def __init__(self):
         tokens = tuple(f"w{i}" for i in range(10)) + (EON_TOKEN,)
         super().__init__(tokens)
-
-    def next_distribution(self, context):
-        nxt = (context[-1] + 1) % self.vocab_size if context else 0
-        dist = np.full(self.vocab_size, 1e-12)
-        dist[nxt] = 1.0
-        return dist / dist.sum()
-
-    def start_state(self):
-        return None
 
     def step(self, token_id, state):
         nxt = 0 if token_id == self.eon_id else token_id + 1
@@ -42,17 +33,19 @@ class TestSampling:
         rng = np.random.default_rng(0)
         assert sample_from_distribution(np.array([0.2, 0.4, 0.4]), 0.0, rng) == 1
         model = unigram_fixture()
-        best = int(np.argmax(model.next_distribution([])))
+        dist, _ = model.step(model.eon_id, model.start_state())
+        best = int(np.argmax(dist))
         for _ in range(5):
-            assert sample_next(model, [], 0.0, rng) == best
+            assert sample_from_distribution(dist, 0.0, rng) == best
 
     def test_fixed_seed_reproducible(self):
         model = unigram_fixture()
-        draws1 = [sample_next(model, [], 1.0, np.random.default_rng(4)) for _ in range(1)]
-        draws2 = [sample_next(model, [], 1.0, np.random.default_rng(4)) for _ in range(1)]
+        dist, _ = model.step(model.eon_id, model.start_state())
+        draws1 = [sample_from_distribution(dist, 1.0, np.random.default_rng(4)) for _ in range(1)]
+        draws2 = [sample_from_distribution(dist, 1.0, np.random.default_rng(4)) for _ in range(1)]
         rng1, rng2 = np.random.default_rng(4), np.random.default_rng(4)
-        seq1 = [sample_next(model, [], 1.0, rng1) for _ in range(50)]
-        seq2 = [sample_next(model, [], 1.0, rng2) for _ in range(50)]
+        seq1 = [sample_from_distribution(dist, 1.0, rng1) for _ in range(50)]
+        seq2 = [sample_from_distribution(dist, 1.0, rng2) for _ in range(50)]
         assert seq1 == seq2 and draws1 == draws2
 
     def test_binomial_bound_on_fair_coin(self):

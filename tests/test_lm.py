@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from synthnotes.corpus import Corpus, Note
+from synthnotes.corpus import Corpus, EON_TOKEN, Note, UNK_TOKEN
 from synthnotes.lm import (
     BigramModel,
     UniformModel,
@@ -12,6 +12,7 @@ from synthnotes.lm import (
     train_bigram,
     train_unigram,
 )
+from synthnotes.neural import LstmLmConfig, train_lstm_lm
 
 
 def corpus_of(*token_lists, role="train"):
@@ -22,39 +23,45 @@ def corpus_of(*token_lists, role="train"):
 class TestUnigram:
     def test_lidstone_formula(self):
         model = train_unigram(corpus_of(["a", "a", "a", "b"]), ("a", "b"))
-        assert math.exp(model.log_prob(0)) == pytest.approx(4 / 6, abs=1e-12)
+        assert math.exp(model.sequence_log_probs([0])[0]) == pytest.approx(4 / 6, abs=1e-12)
 
     def test_unseen_token_smoothed(self):
         model = train_unigram(corpus_of(["a"] * 4), ("a", "b"))
-        assert math.exp(model.log_prob(1)) == pytest.approx(1 / 6, abs=1e-12)
+        assert math.exp(model.sequence_log_probs([1])[0]) == pytest.approx(1 / 6, abs=1e-12)
 
     def test_distribution_sums_to_one(self):
         model = train_unigram(corpus_of(["a", "b", "b"]), ("a", "b", "c"))
-        assert model.next_distribution([]).sum() == pytest.approx(1.0, abs=1e-9)
+        dist, _ = model.step(0, model.start_state())
+        assert dist.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_out_of_vocab_id_rejected(self):
         model = train_unigram(corpus_of(["a"]), ("a",))
-        with pytest.raises(ValueError):
-            model.log_prob(5)
+        for ids in ([5], [0, -1]):
+            with pytest.raises(ValueError):
+                model.sequence_log_probs(ids)
 
     def test_context_independence_exact(self):
         model = train_unigram(corpus_of(["a", "b", "a"]), ("a", "b"))
-        assert model.log_prob(1, [0]) == model.log_prob(1, [1, 0, 1])
+        assert model.sequence_log_probs([0, 1])[1] == model.sequence_log_probs([1, 0, 1, 1])[3]
+        assert np.array_equal(model.step(0, None)[0], model.step(1, None)[0])
 
 
 class TestBigram:
     def test_conditional_formula(self):
         model = train_bigram(corpus_of(["a", "b", "a", "b"]), ("a", "b"))
-        assert model.next_distribution([0])[1] == pytest.approx(3 / 4, abs=1e-12)
+        assert model.step(0, None)[0][1] == pytest.approx(3 / 4, abs=1e-12)
+        assert model.sequence_log_probs([0, 1])[1] == pytest.approx(math.log(3 / 4), abs=1e-12)
 
     def test_unseen_context_uniform(self):
         model = train_bigram(corpus_of(["a", "a"]), ("a", "b"))
-        np.testing.assert_allclose(model.next_distribution([1]), [0.5, 0.5], atol=1e-12)
+        np.testing.assert_allclose(model.step(1, None)[0], [0.5, 0.5], atol=1e-12)
+        # without an end-of-note token the note start is an unseen context
+        assert model.sequence_log_probs([1])[0] == pytest.approx(math.log(0.5), abs=1e-12)
 
     def test_rows_normalize(self):
         model = train_bigram(corpus_of(["a", "b", "b", "a"], ["b", "a"]), ("a", "b"))
-        for ctx in ([], [0], [1], [0, 1]):
-            assert model.next_distribution(ctx).sum() == pytest.approx(1.0, abs=1e-9)
+        for ctx in (0, 1):
+            assert model.step(ctx, None)[0].sum() == pytest.approx(1.0, abs=1e-9)
 
 
 class TestPerplexity:
@@ -79,24 +86,44 @@ class TestPerplexity:
             perplexity(model, Corpus((), "valid"))
 
 
+def lstm_model(vocab):
+    config = LstmLmConfig(hidden_size=8, layers=2, epochs=2, seed=4, initial_lr=1.0,
+                          batch_size=2, bptt=10)
+    train = corpus_of(["a", "b", "b", "c"], ["c", "a"], ["b", "c", "a", "a"])
+    return train_lstm_lm(train, train, vocab, config)
+
+
 class TestContract:
     @pytest.mark.parametrize("factory", [
         lambda v: UniformModel(v),
         lambda v: UnigramModel(v).train(corpus_of(["a", "b", "b", "c"])),
         lambda v: BigramModel(v).train(corpus_of(["a", "b", "b", "c"], ["c", "a"])),
+        lstm_model,
     ])
     def test_normalization_and_positivity(self, factory):
-        model = factory(("a", "b", "c"))
+        """step walks normalized, positive distributions from the note start,
+        sequence_log_probs is the log of those distributions along ids, and
+        ids outside the token space are rejected."""
+        model = factory((EON_TOKEN, "a", "b", "c"))
         rng = np.random.default_rng(17)
-        for _ in range(100):
-            ctx = list(rng.integers(0, 3, size=rng.integers(0, 6)))
-            dist = model.next_distribution(ctx)
-            assert dist.sum() == pytest.approx(1.0, abs=1e-9)
-            assert np.all(dist > 0)
-            assert np.isfinite(model.log_prob(int(rng.integers(0, 3)), ctx))
+        for _ in range(20):
+            ids = [int(i) for i in rng.integers(1, 4, size=rng.integers(0, 8))]
+            state = model.start_state()
+            walked = []
+            for prev, tok in zip([model.eon_id] + ids, ids + [None]):
+                dist, state = model.step(prev, state)
+                assert dist.sum() == pytest.approx(1.0, abs=1e-9)
+                assert np.all(dist > 0)
+                if tok is not None:
+                    walked.append(math.log(dist[tok]))
+            scored = model.sequence_log_probs(ids)
+            assert scored.shape == (len(ids),)
+            np.testing.assert_allclose(scored, walked, rtol=0, atol=1e-10)
+        for ids in ([4], [1, -1]):
+            with pytest.raises(ValueError):
+                model.sequence_log_probs(ids)
 
     def test_eon_counted_in_stream(self):
-        from synthnotes.corpus import EON_TOKEN, UNK_TOKEN
         model = train_unigram(corpus_of(["a", "a", "a"]), (UNK_TOKEN, EON_TOKEN, "a"))
         # leading <eon> plus one per note
         assert model.counts[model.eon_id] == 2

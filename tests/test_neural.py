@@ -1,4 +1,3 @@
-import math
 
 import numpy as np
 import pytest
@@ -426,22 +425,6 @@ class TestTrainLstm:
         assert all(b <= a for a, b in zip(lrs, lrs[1:]))  # non-increasing
         for a, b in zip(lrs, lrs[1:]):
             assert b == a or b == pytest.approx(a / 4.0)
-
-    def test_sequence_log_probs_match_step_scoring(self):
-        corpus, vocab = repeated_sentence_corpus()
-        config = LstmLmConfig(hidden_size=8, layers=2, epochs=2, seed=4,
-                              initial_lr=1.0, batch_size=2, bptt=10)
-        model = train_lstm_lm(corpus, corpus, vocab, config)
-        ids = model.encode_note(corpus.notes[0])
-        fast = model.sequence_log_probs(ids)
-        state = model.start_state()
-        prev = model.eon_id
-        slow = []
-        for tok in ids:
-            dist, state = model.step(prev, state)
-            slow.append(math.log(dist[tok]))
-            prev = tok
-        np.testing.assert_allclose(fast, slow, atol=1e-10)
 
     def test_batchify_rejects_tiny_streams(self):
         with pytest.raises(ValueError):

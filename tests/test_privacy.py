@@ -1,17 +1,16 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 
 from synthnotes.corpus import Corpus, Note
-from synthnotes.experiment import UnigramTrainer
 from synthnotes.lm import UniformModel, train_unigram
 from synthnotes.privacy import (
     NotePrivacyRecord,
     PrivacyConfig,
     PrivacyReport,
     analyze_report,
-    pdtp_point,
     s_pdtp_note,
     s_pdtp_score,
     write_privacy_report,
@@ -123,10 +122,11 @@ class TestSPdtpScore:
         corpus = Corpus(notes, "train")
         from synthnotes.corpus import Vocabulary
         vocab = Vocabulary(tokens=("<unk>", "a", "b", "c"))
+        trainer = functools.partial(train_unigram, vocab=vocab)  # picklable for the pool
         serial = s_pdtp_score(corpus, PrivacyConfig(
-            trainer=UnigramTrainer(vocab), sample_size=4, seed=3, jobs=1))
+            trainer=trainer, sample_size=4, seed=3, jobs=1))
         parallel = s_pdtp_score(corpus, PrivacyConfig(
-            trainer=UnigramTrainer(vocab), sample_size=4, seed=3, jobs=3))
+            trainer=trainer, sample_size=4, seed=3, jobs=3))
         assert serial.as_dict() == parallel.as_dict()
 
     def test_closed_form_oracle_random_corpora(self):
@@ -200,24 +200,6 @@ class TestAnalyze:
         with pytest.raises(ValueError):
             analyze_report(PrivacyReport(records=(), aggregate=0.0,
                                          sign_positive_fraction=None))
-
-
-class TestPdtpPoint:
-    def test_identical_predictors(self):
-        predictor = lambda record: {"yes": math.log(0.7), "no": math.log(0.3)}
-        assert pdtp_point(predictor, predictor, None, ("yes", "no")) == 0.0
-
-    def test_binary_example(self):
-        full = lambda r: {"y": math.log(0.8), "n": math.log(0.2)}
-        loo = lambda r: {"y": math.log(0.5), "n": math.log(0.5)}
-        value = pdtp_point(full, loo, None, ("y", "n"))
-        assert value == pytest.approx(math.log(2.5), abs=1e-12)
-
-    def test_outcome_mismatch_rejected(self):
-        full = lambda r: {"y": 0.0}
-        loo = lambda r: {"y": 0.0, "n": -1.0}
-        with pytest.raises(ValueError):
-            pdtp_point(full, loo, None, ("y", "n"))
 
 
 class TestReportIO:
