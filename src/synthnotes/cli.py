@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import functools
 import logging
 import os
 import sys
@@ -30,12 +29,14 @@ from .experiment import (
     ExperimentReport,
     ReportRow,
     StageError,
+    make_trainer,
     read_experiment_config,
     read_report,
     run_experiment,
 )
 from .generation import GenerationConfig, generate_corpus
-from .neural import DivergenceError, LstmLmConfig, train_lstm_lm
+from .neural import DivergenceError, LstmLmConfig
+from .neural.language_model import LR_POLICIES
 from .privacy import PrivacyConfig, analyze_report, s_pdtp_score, write_privacy_report
 from .template import write_template_bundle
 from .utility import (
@@ -71,22 +72,38 @@ def _outdir(path: str) -> Path:
     return Path(os.environ.get("SYNTHNOTES_OUTDIR", path))
 
 
-def _add_lstm_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--hidden", type=int, default=650)
-    p.add_argument("--layers", type=int, default=2)
-    p.add_argument("--dropout", type=float, default=0.0)
-    p.add_argument("--epochs", type=int, default=20)
-    p.add_argument("--lr", type=float, default=20.0)
-    p.add_argument("--lr-policy", choices=("medtext2", "medtext103"), default="medtext2")
-    p.add_argument("--bptt", type=int, default=35)
-    p.add_argument("--batch-size", type=int, default=20)
+# flag destination -> config field; each flag's default is the config's own
+_LSTM_FLAGS = {"hidden": "hidden_size", "layers": "layers", "dropout": "dropout",
+               "epochs": "epochs", "lr": "initial_lr", "lr_policy": "lr_decay_policy",
+               "bptt": "bptt", "batch_size": "batch_size"}
+_SGNS_FLAGS = {"dim": "dim", "window": "window", "negatives": "negatives",
+               "iterations": "iterations", "train_min_count": "min_count"}
 
 
-def _lstm_config(args, seed: int) -> LstmLmConfig:
-    return LstmLmConfig(
-        hidden_size=args.hidden, layers=args.layers, dropout=args.dropout,
-        epochs=args.epochs, initial_lr=args.lr, lr_decay_policy=args.lr_policy,
-        bptt=args.bptt, batch_size=args.batch_size, seed=seed)
+def _add_config_flags(p: argparse.ArgumentParser, flags: dict, config_class) -> None:
+    defaults = config_class()
+    for dest, name in flags.items():
+        flag, default = "--" + dest.replace("_", "-"), getattr(defaults, name)
+        if name == "lr_decay_policy":
+            p.add_argument(flag, choices=LR_POLICIES, default=default)
+        else:
+            p.add_argument(flag, type=type(default), default=default)
+
+
+def _flag_config(args, flags: dict, config_class):
+    """The config the flags in `flags` describe, seeded with --seed."""
+    return config_class(seed=args.seed, **{name: getattr(args, dest)
+                                           for dest, name in flags.items()})
+
+
+def _trainer(args, vocab):
+    """The --kind trainer; --valid and the LSTM flags are read only for lstm."""
+    if args.kind != "lstm":
+        return make_trainer(args.kind, vocab)
+    if not args.valid:
+        raise ConfigError("--valid is required for LSTM training")
+    valid = corpus_mod.read_corpus(args.valid, "valid")
+    return make_trainer("lstm", vocab, valid, _flag_config(args, _LSTM_FLAGS, LstmLmConfig))
 
 
 def cmd_template(args) -> int:
@@ -136,17 +153,9 @@ def cmd_stats(args) -> int:
 def cmd_train_lm(args) -> int:
     train = corpus_mod.read_corpus(args.train, "train")
     vocab = corpus_mod.read_vocab(args.vocab)
-    if args.kind == "unigram":
-        model = lm.train_unigram(train, vocab)
-    elif args.kind == "bigram":
-        model = lm.train_bigram(train, vocab)
-    else:
-        if not args.valid:
-            raise ConfigError("--valid is required for LSTM training")
-        valid = corpus_mod.read_corpus(args.valid, "valid")
-        model = train_lstm_lm(train, valid, vocab, _lstm_config(args, args.seed))
-        for entry in model.history:
-            log.info("epoch %(epoch)d: train ppl %(train_ppl).3f valid ppl %(valid_ppl).3f lr %(lr).4g", entry)
+    model = _trainer(args, vocab)(train)
+    for entry in getattr(model, "history", ()):
+        log.info("epoch %(epoch)d: train ppl %(train_ppl).3f valid ppl %(valid_ppl).3f lr %(lr).4g", entry)
     modelio.save_model(model, args.out)
     print(f"saved {args.kind} model to {args.out}")
     return EXIT_OK
@@ -173,18 +182,7 @@ def cmd_generate(args) -> int:
 def cmd_privacy(args) -> int:
     train = corpus_mod.read_corpus(args.train, "train")
     vocab = corpus_mod.read_vocab(args.vocab)
-    if args.kind == "unigram":
-        trainer = functools.partial(lm.train_unigram, vocab=vocab)
-    elif args.kind == "bigram":
-        trainer = functools.partial(lm.train_bigram, vocab=vocab)
-    else:
-        if not args.valid:
-            raise ConfigError("--valid is required for LSTM trainers")
-        valid = corpus_mod.read_corpus(args.valid, "valid")
-        lstm_config = _lstm_config(args, args.seed)
-        trainer = functools.partial(train_lstm_lm, valid=valid, vocab=vocab,
-                                    config=lstm_config)
-    config = PrivacyConfig(trainer=trainer, sample_size=args.sample_size,
+    config = PrivacyConfig(trainer=_trainer(args, vocab), sample_size=args.sample_size,
                            seed=args.seed, jobs=args.jobs, trainer_label=args.kind)
     report = s_pdtp_score(train, config)
     print(report.render())
@@ -198,9 +196,7 @@ def cmd_privacy(args) -> int:
 
 def cmd_eval_sim(args) -> int:
     corpus = corpus_mod.read_corpus(args.corpus, "train")
-    config = SgnsConfig(dim=args.dim, window=args.window, negatives=args.negatives,
-                        iterations=args.iterations, min_count=args.train_min_count,
-                        seed=args.seed)
+    config = _flag_config(args, _SGNS_FLAGS, SgnsConfig)
     if args.embeddings and Path(args.embeddings).exists() and not args.retrain:
         emb = read_embeddings(args.embeddings)
     else:
@@ -297,7 +293,7 @@ def build_parser() -> _Parser:
     p.add_argument("--vocab", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
-    _add_lstm_flags(p)
+    _add_config_flags(p, _LSTM_FLAGS, LstmLmConfig)
     p.set_defaults(fn=cmd_train_lm)
 
     p = sub.add_parser("perplexity", help="perplexity of a model on a corpus")
@@ -324,18 +320,14 @@ def build_parser() -> _Parser:
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--analyze", action="store_true", help="print the argmax-token analysis")
     p.add_argument("--out")
-    _add_lstm_flags(p)
+    _add_config_flags(p, _LSTM_FLAGS, LstmLmConfig)
     p.set_defaults(fn=cmd_privacy)
 
     p = sub.add_parser("eval-sim", help="train embeddings and score a word-pair benchmark")
     p.add_argument("--corpus", required=True)
     p.add_argument("--benchmark", required=True)
     p.add_argument("--min-count", type=int, default=20, help="pair filter on corpus counts")
-    p.add_argument("--dim", type=int, default=300)
-    p.add_argument("--window", type=int, default=5)
-    p.add_argument("--negatives", type=int, default=10)
-    p.add_argument("--iterations", type=int, default=10)
-    p.add_argument("--train-min-count", type=int, default=5)
+    _add_config_flags(p, _SGNS_FLAGS, SgnsConfig)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--embeddings", help="embedding file to reuse or write")
     p.add_argument("--retrain", action="store_true")

@@ -121,16 +121,9 @@ class Vocabulary:
     def __contains__(self, token: str) -> bool:
         return token in self._ids
 
-    @property
-    def unk_id(self) -> int:
-        return self._ids[self.unk_token]
-
     def id(self, token: str) -> int:
         """Strict lookup; raises KeyError for out-of-vocabulary tokens."""
         return self._ids[token]
-
-    def id_or_unk(self, token: str) -> int:
-        return self._ids.get(token, self._ids[self.unk_token])
 
     def token(self, token_id: int) -> str:
         return self.tokens[token_id]

@@ -88,7 +88,11 @@ def sgns_pair_loss(center: np.ndarray, context: np.ndarray, negatives: np.ndarra
 
 def _noise_cdf(counts: np.ndarray, power: float) -> np.ndarray:
     weights = counts.astype(np.float64) ** power
-    return np.cumsum(weights / weights.sum())
+    cdf = np.cumsum(weights / weights.sum())
+    # the rounded sum can end below 1, and a draw in that gap would index past
+    # the last word; pinning the end moves no other draw
+    cdf[-1] = 1.0
+    return cdf
 
 
 def _sgd_pass(w_in, w_out, centers, contexts, cdf, config: SgnsConfig,

@@ -16,7 +16,7 @@ import functools
 import hashlib
 import json
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 from . import __version__, corpus as corpus_mod, lm, modelio, privacy as privacy_mod
@@ -52,6 +52,11 @@ class StageError(RuntimeError):
         self.stage = stage
 
 
+_COMPONENTS = ("lstm", "sgns", "nli", "truecase")
+# input files; without a raw corpus, a template bundle supplies any left unset
+_PATH_FIELDS = ("raw_corpus", "benchmark_sim", "benchmark_rel", "nli_train", "nli_test")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     # data: either a raw corpus file or a seeded template bundle
@@ -65,39 +70,21 @@ class ExperimentConfig:
     # model grid: "unigram", "bigram" or "lstm:<dropout>"
     grid: tuple[str, ...] = ("unigram", "lstm:0.0", "lstm:0.5")
 
-    # desk-scale LSTM trainer (module defaults keep the full-scale values)
-    lstm_hidden: int = 48
-    lstm_layers: int = 2
-    lstm_epochs: int = 20
-    lstm_lr: float = 6.0
-    lstm_policy: str = "medtext2"
-    lstm_bptt: int = 35
-    lstm_batch: int = 20
-    lstm_dtype: str = "float64"
+    # one config per component at desk scale (the module defaults keep the
+    # full-scale values); run_experiment sets every seed and the LSTM dropout
+    lstm: LstmLmConfig = LstmLmConfig(hidden_size=48, initial_lr=6.0)
+    sgns: SgnsConfig = SgnsConfig(dim=100, iterations=3)
+    nli: NliConfig = NliConfig()
+    truecase: TruecaserConfig = TruecaserConfig(hidden=48, emb_dim=16, max_sentences=2500)
 
     privacy_sample_size: int = 10
 
-    emb_dim: int = 100
-    emb_window: int = 5
-    emb_negatives: int = 10
-    emb_iterations: int = 3
-    emb_train_min_count: int = 5
     emb_eval_min_count: int = 20
     benchmark_sim: str | None = None
     benchmark_rel: str | None = None
 
     nli_train: str | None = None
     nli_test: str | None = None
-    nli_epochs: int = 30
-    nli_hidden: int = 128
-    nli_lr: float = 0.05
-
-    case_hidden: int = 48
-    case_emb_dim: int = 16
-    case_epochs: int = 8
-    case_lr: float = 2.0
-    case_batch: int = 8
-    case_max_sentences: int = 2500
 
     gen_temperature: float = 1.0
     gen_max_note_length: int = 2000
@@ -105,27 +92,24 @@ class ExperimentConfig:
     jobs: int = 1
 
     def validate(self) -> None:
-        for label, path in (("raw_corpus", self.raw_corpus),
-                            ("benchmark_sim", self.benchmark_sim),
-                            ("benchmark_rel", self.benchmark_rel),
-                            ("nli_train", self.nli_train),
-                            ("nli_test", self.nli_test)):
+        for name in _PATH_FIELDS:
+            path = getattr(self, name)
             if path is not None and not Path(path).exists():
-                raise FileNotFoundError(f"{label} path {path!r} does not exist")
+                raise FileNotFoundError(f"{name} path {path!r} does not exist")
         for cell in self.grid:
             parse_cell(cell)
         if not 1 <= self.privacy_sample_size:
             raise ValueError("privacy_sample_size must be >= 1")
 
     def echo(self) -> dict:
-        """Config as written into reports; worker count and output location
+        """Config as written into reports. Worker count and output location
         are execution details, not experiment identity, and are left out so
-        reruns compare byte-identical."""
-        out = {}
-        for key, value in self.__dict__.items():
-            if key in ("jobs", "output_dir"):
-                continue
-            out[key] = list(value) if isinstance(value, tuple) else value
+        reruns compare byte-identical; the component seeds and the LSTM
+        dropout are left out because the run sets them per stage and cell."""
+        out = asdict(self)
+        del out["jobs"], out["output_dir"], out["lstm"]["dropout"]
+        for component in _COMPONENTS:
+            del out[component]["seed"]
         return out
 
 
@@ -137,71 +121,64 @@ def parse_cell(cell: str) -> tuple[str, float | None]:
     raise ValueError(f"unknown grid cell {cell!r}; expected unigram, bigram or lstm:<dropout>")
 
 
-_INI_SECTIONS = {
-    "data": ("raw_corpus", "template_notes", "split_fractions", "min_count"),
-    "experiment": ("seed", "grid", "output_dir", "jobs"),
-    "lstm": ("lstm_hidden", "lstm_layers", "lstm_epochs", "lstm_lr", "lstm_policy",
-             "lstm_bptt", "lstm_batch", "lstm_dtype"),
-    "privacy": ("privacy_sample_size",),
-    "embeddings": ("emb_dim", "emb_window", "emb_negatives", "emb_iterations",
-                   "emb_train_min_count", "emb_eval_min_count"),
-    "benchmarks": ("benchmark_sim", "benchmark_rel"),
-    "nli": ("nli_train", "nli_test", "nli_epochs", "nli_hidden", "nli_lr"),
-    "truecase": ("case_hidden", "case_emb_dim", "case_epochs", "case_lr",
-                 "case_batch", "case_max_sentences"),
-    "generation": ("gen_temperature", "gen_max_note_length"),
+def _keys(component: str | None, *same: str, **renamed: str) -> dict:
+    table = {key: (component, key) for key in same}
+    table.update((key, (component, name)) for key, name in renamed.items())
+    return table
+
+
+# INI section -> key -> (ExperimentConfig component, or None for the
+# experiment itself, and the field the key sets there)
+_INI_TABLE = {
+    "data": _keys(None, "raw_corpus", "template_notes", "split_fractions", "min_count"),
+    "experiment": _keys(None, "seed", "grid", "output_dir", "jobs"),
+    "lstm": _keys("lstm", "layers", "epochs", "bptt", "dtype", hidden="hidden_size",
+                  lr="initial_lr", policy="lr_decay_policy", batch="batch_size"),
+    "privacy": _keys(None, sample_size="privacy_sample_size"),
+    "embeddings": {**_keys("sgns", "dim", "window", "negatives", "iterations",
+                           train_min_count="min_count"),
+                   **_keys(None, eval_min_count="emb_eval_min_count")},
+    "benchmarks": _keys(None, sim="benchmark_sim", rel="benchmark_rel"),
+    "nli": {**_keys(None, train="nli_train", test="nli_test"),
+            **_keys("nli", "epochs", "hidden", "lr")},
+    "truecase": _keys("truecase", "hidden", "emb_dim", "epochs", "lr", "max_sentences",
+                      batch="batch_size"),
+    "generation": _keys(None, temperature="gen_temperature",
+                        max_note_length="gen_max_note_length"),
 }
-def _ini_aliases() -> dict:
-    """Config keys drop their section prefix inside the matching section,
-    e.g. [lstm] hidden = 32 maps to lstm_hidden."""
-    prefixed = {"lstm": "lstm_", "embeddings": "emb_", "nli": "nli_",
-                "truecase": "case_", "generation": "gen_", "privacy": "privacy_",
-                "benchmarks": "benchmark_"}
-    aliases: dict = {}
-    for section, keys in _INI_SECTIONS.items():
-        prefix = prefixed.get(section, "")
-        aliases[section] = {}
-        for key in keys:
-            short = key[len(prefix):] if prefix and key.startswith(prefix) else key
-            aliases[section][short] = key
-    return aliases
 
 
-_INI_KEY_ALIASES = _ini_aliases()
+def _parse_value(name: str, raw: str, current):
+    """An INI value, parsed by the type of the field's default."""
+    if name == "grid":
+        return tuple(tok.strip() for tok in raw.split(",") if tok.strip())
+    if name == "split_fractions":
+        return tuple(float(tok) for tok in raw.split(","))
+    if isinstance(current, (int, float)):
+        return type(current)(raw)
+    return raw
 
 
 def read_experiment_config(path: str | Path) -> ExperimentConfig:
     """INI-style key=value config; sections and keys as documented in the
-    README. Unknown sections or keys are rejected."""
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
+    README. Unknown sections or keys are rejected, and each component
+    config is built here, so its own checks reject bad values at once."""
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
+    if not parser.read(path):
         raise FileNotFoundError(f"config file {path!r} not found")
     defaults = ExperimentConfig()
-    values: dict = {}
+    values: dict = {component: {} for component in (None, *_COMPONENTS)}
     for section in parser.sections():
-        if section not in _INI_KEY_ALIASES:
+        if section not in _INI_TABLE:
             raise ValueError(f"unknown config section [{section}]")
-        aliases = _INI_KEY_ALIASES[section]
         for key, raw in parser.items(section):
-            if key not in aliases:
+            if key not in _INI_TABLE[section]:
                 raise ValueError(f"unknown key {key!r} in section [{section}]")
-            name = aliases[key]
-            current = getattr(defaults, name)
-            if name == "grid":
-                values[name] = tuple(tok.strip() for tok in raw.split(",") if tok.strip())
-            elif name == "split_fractions":
-                values[name] = tuple(float(tok) for tok in raw.split(","))
-            elif isinstance(current, bool):
-                values[name] = parser.getboolean(section, key)
-            elif isinstance(current, int) and not isinstance(current, bool):
-                values[name] = int(raw)
-            elif isinstance(current, float):
-                values[name] = float(raw)
-            else:
-                values[name] = raw
-    config = replace(defaults, **values)
-    return config
+            component, name = _INI_TABLE[section][key]
+            target = defaults if component is None else getattr(defaults, component)
+            values[component][name] = _parse_value(name, raw, getattr(target, name))
+    components = {c: replace(getattr(defaults, c), **values[c]) for c in _COMPONENTS}
+    return replace(defaults, **values[None], **components)
 
 
 @dataclass(frozen=True)
@@ -272,6 +249,16 @@ class LstmTrainer:
         return train_lstm_lm(corpus, self.valid, self.vocab, self.config)
 
 
+def make_trainer(kind: str, vocab, valid=None, lstm_config: LstmLmConfig | None = None):
+    """The corpus -> model procedure of a "unigram", "bigram" or "lstm"
+    cell; only the LSTM uses the validation corpus and the config."""
+    if kind == "unigram":
+        return functools.partial(lm.train_unigram, vocab=vocab)
+    if kind == "bigram":
+        return functools.partial(lm.train_bigram, vocab=vocab)
+    return LstmTrainer(vocab, valid, lstm_config)
+
+
 def _content_name(directory: Path, stem: str, suffix: str, blob: bytes) -> Path:
     digest = hashlib.sha256(blob).hexdigest()[:12]
     return directory / f"{stem}-{digest}{suffix}"
@@ -298,24 +285,15 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     artifacts: dict = {}
 
     # ---- data stage -------------------------------------------------------
-    if config.raw_corpus is not None:
-        raw_path = Path(config.raw_corpus)
-        bench_sim_path = config.benchmark_sim
-        bench_rel_path = config.benchmark_rel
-        nli_train_path = config.nli_train
-        nli_test_path = config.nli_test
-    else:
+    paths = {name: getattr(config, name) for name in _PATH_FIELDS}
+    if config.raw_corpus is None:
         bundle = _run_stage("template", write_template_bundle,
                             derive_seed(config.seed, "template"),
                             config.template_notes, outdir / "template")
-        raw_path = bundle.raw_corpus
-        bench_sim_path = config.benchmark_sim or bundle.benchmark_sim
-        bench_rel_path = config.benchmark_rel or bundle.benchmark_rel
-        nli_train_path = config.nli_train or bundle.nli_train
-        nli_test_path = config.nli_test or bundle.nli_test
+        paths = {name: path or getattr(bundle, name) for name, path in paths.items()}
 
     def prepare():
-        full = corpus_mod.read_raw_corpus(raw_path)
+        full = corpus_mod.read_raw_corpus(paths["raw_corpus"])
         train, valid, test = corpus_mod.split_corpus(
             full, config.split_fractions, derive_seed(config.seed, "split"))
         vocab = corpus_mod.build_vocabulary(train, config.min_count)
@@ -326,10 +304,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     stats = _run_stage("stats", corpus_mod.compute_stats, train_u, valid_u, test_u, vocab)
     log.info("corpus ready: %s", stats.as_dict())
 
-    bench_sim = read_benchmark(bench_sim_path, "similarity") if bench_sim_path else None
-    bench_rel = read_benchmark(bench_rel_path, "relatedness") if bench_rel_path else None
-    nli_train_data = read_nli_jsonl(nli_train_path) if nli_train_path else None
-    nli_test_data = read_nli_jsonl(nli_test_path) if nli_test_path else None
+    def read_input(name, reader, *args):
+        return reader(paths[name], *args) if paths[name] else None
+
+    bench_sim = read_input("benchmark_sim", read_benchmark, "similarity")
+    bench_rel = read_input("benchmark_rel", read_benchmark, "relatedness")
+    nli_train_data = read_input("nli_train", read_nli_jsonl)
+    nli_test_data = read_input("nli_test", read_nli_jsonl)
     real_case_pairs = make_case_pairs(test_u)
 
     def utility_columns(source: corpus_mod.Corpus, label: str):
@@ -340,11 +321,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         if (label == "real") != (source is train_u):
             raise StageError(f"provenance:{label}",
                              ValueError("utility training source does not match cell"))
-        emb = _run_stage(f"embeddings:{label}", train_sgns, source, SgnsConfig(
-            dim=config.emb_dim, window=config.emb_window,
-            negatives=config.emb_negatives, iterations=config.emb_iterations,
-            min_count=config.emb_train_min_count,
-            seed=derive_seed(config.seed, f"embeddings:{label}")))
+        emb = _run_stage(f"embeddings:{label}", train_sgns, source, replace(
+            config.sgns, seed=derive_seed(config.seed, f"embeddings:{label}")))
         emb = replace(emb, config={**emb.config, "source": label})
         counts = source.token_counts()
         sim = rel = None
@@ -356,16 +334,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                                 emb, bench_rel, config.emb_eval_min_count, counts)
         nli_acc = None
         if nli_train_data is not None and nli_test_data is not None:
-            nli_cfg = NliConfig(hidden=config.nli_hidden, lr=config.nli_lr,
-                                epochs=config.nli_epochs,
-                                seed=derive_seed(config.seed, f"nli:{label}"))
+            nli_cfg = replace(config.nli, seed=derive_seed(config.seed, f"nli:{label}"))
             clf = _run_stage(f"train-nli:{label}", train_nli_bow, nli_train_data, emb, nli_cfg)
             nli_acc = _run_stage(f"eval-nli:{label}", evaluate_nli, clf, nli_test_data)
-        case_cfg = TruecaserConfig(hidden=config.case_hidden, emb_dim=config.case_emb_dim,
-                                   epochs=config.case_epochs, lr=config.case_lr,
-                                   batch_size=config.case_batch,
-                                   max_sentences=config.case_max_sentences,
-                                   seed=derive_seed(config.seed, f"truecase:{label}"))
+        case_cfg = replace(config.truecase, seed=derive_seed(config.seed, f"truecase:{label}"))
         caser = _run_stage(f"train-case:{label}", train_truecaser, source, case_cfg)
         case_f1 = _run_stage(f"eval-case:{label}", evaluate_truecase, caser, real_case_pairs)
         return sim, rel, nli_acc, case_f1
@@ -377,19 +349,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     for cell in config.grid:
         kind, dropout = parse_cell(cell)
         label = _cell_label(kind, dropout)
-        if kind == "unigram":
-            trainer = functools.partial(lm.train_unigram, vocab=vocab)
-        elif kind == "bigram":
-            trainer = functools.partial(lm.train_bigram, vocab=vocab)
-        else:
-            lstm_cfg = LstmLmConfig(
-                hidden_size=config.lstm_hidden, layers=config.lstm_layers,
-                dropout=dropout, initial_lr=config.lstm_lr,
-                lr_decay_policy=config.lstm_policy, epochs=config.lstm_epochs,
-                bptt=config.lstm_bptt, batch_size=config.lstm_batch,
-                dtype=config.lstm_dtype,
-                seed=derive_seed(config.seed, f"train:{label}"))
-            trainer = LstmTrainer(vocab, valid_u, lstm_cfg)
+        lstm_cfg = replace(config.lstm, dropout=dropout, seed=derive_seed(
+            config.seed, f"train:{label}")) if kind == "lstm" else None
+        trainer = make_trainer(kind, vocab, valid_u, lstm_cfg)
 
         model = _run_stage(f"train-lm:{label}", trainer, train_u)
         blob = modelio.model_bytes(model)

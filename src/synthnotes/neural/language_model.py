@@ -41,7 +41,7 @@ def check_divergence(loss: float, grad_norm: float, where: str) -> None:
                               f"(loss {loss:.4g}, gradient norm {grad_norm:.4g})")
 
 
-@dataclass
+@dataclass(frozen=True)
 class LstmLmConfig:
     hidden_size: int = 650
     layers: int = 2

@@ -228,7 +228,3 @@ def analyze_report(report: PrivacyReport) -> PrivacyAnalysis:
 def write_privacy_report(report: PrivacyReport, path: str | Path) -> None:
     Path(path).write_text(json.dumps(report.as_dict(), indent=2, sort_keys=True) + "\n",
                           encoding="utf-8")
-
-
-def read_privacy_report(path: str | Path) -> dict:
-    return json.loads(Path(path).read_text(encoding="utf-8"))

@@ -19,11 +19,17 @@ from synthnotes.corpus import (
     apply_unk,
     build_vocabulary,
 )
-from synthnotes.embeddings import EmbeddingSet, SimilarityBenchmark, cosine, evaluate_similarity
+from synthnotes.embeddings import (
+    EmbeddingSet,
+    SgnsConfig,
+    SimilarityBenchmark,
+    cosine,
+    evaluate_similarity,
+)
 from synthnotes.experiment import ExperimentConfig, run_experiment
 from synthnotes.neural import LstmLmConfig, core, train_lstm_lm
 from synthnotes.privacy import PrivacyConfig, analyze_report, s_pdtp_score
-from synthnotes.utility import word_case_f1
+from synthnotes.utility import NliConfig, TruecaserConfig, word_case_f1
 
 
 def verdict(name: str, condition: bool, detail: str = "") -> None:
@@ -196,24 +202,14 @@ DESK_CONFIG = dict(
     template_notes=1000,
     grid=("unigram", "lstm:0.0", "lstm:0.5"),
     seed=11,
-    lstm_hidden=48,
-    lstm_layers=2,
-    lstm_epochs=20,
-    lstm_lr=6.0,
-    lstm_policy="medtext2",
-    lstm_dtype="float32",
+    lstm=LstmLmConfig(hidden_size=48, layers=2, epochs=20, initial_lr=6.0,
+                      lr_decay_policy="medtext2", dtype="float32"),
     privacy_sample_size=5,
-    emb_dim=100,
-    emb_window=5,
-    emb_negatives=10,
-    emb_iterations=3,
+    sgns=SgnsConfig(dim=100, window=5, negatives=10, iterations=3),
     emb_eval_min_count=20,
-    nli_epochs=30,
-    case_hidden=48,
-    case_emb_dim=16,
-    case_epochs=8,
-    case_batch=8,
-    case_max_sentences=2500,
+    nli=NliConfig(epochs=30),
+    truecase=TruecaserConfig(hidden=48, emb_dim=16, epochs=8, batch_size=8,
+                             max_sentences=2500),
 )
 
 

@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from synthnotes import corpus as corpus_mod, lm
+from synthnotes import corpus as corpus_mod, lm, modelio
 from synthnotes.cli import EXIT_CONFIG, EXIT_OK, main
 
 
@@ -64,6 +64,25 @@ class TestPipeline:
         assert synth.word_count >= 300
         assert all(tok in vocab.tokens for note in synth for tok in note.tokens)
 
+    def test_lstm_flags_train_and_privacy(self, workdir, capsys):
+        run("template", "--seed", "1", "--notes", "40", "--outdir", "t")
+        run("preprocess", "--input", "t/notes.txt", "--outdir", "c",
+            "--seed", "2", "--min-count", "2")
+        data = ("--train", "c/train.txt", "--vocab", "c/vocab.tsv")
+        flags = ("--hidden", "6", "--layers", "1", "--dropout", "0.25", "--epochs", "2",
+                 "--lr", "1.5", "--lr-policy", "medtext103", "--bptt", "12",
+                 "--batch-size", "3", "--seed", "7")
+        assert run("train-lm", "--kind", "lstm", *data, "--out", "m.ptlm", *flags) == EXIT_CONFIG
+        assert run("train-lm", "--kind", "lstm", *data, "--valid", "c/valid.txt",
+                   "--out", "m.ptlm", *flags) == EXIT_OK
+        config = modelio.load_model("m.ptlm").config
+        assert (config.hidden_size, config.layers, config.dropout, config.epochs,
+                config.initial_lr, config.lr_decay_policy, config.bptt, config.batch_size,
+                config.seed) == (6, 1, 0.25, 2, 1.5, "medtext103", 12, 3, 7)
+        assert run("privacy", "--kind", "lstm", *data, "--valid", "c/valid.txt",
+                   "--sample-size", "2", "--out", "priv.json", *flags) == EXIT_OK
+        assert json.loads((workdir / "priv.json").read_text())["config"]["trainer"] == "lstm"
+
     def test_eval_sim_embeddings_file(self, workdir, capsys):
         run("template", "--seed", "1", "--notes", "60", "--outdir", "t")
         run("preprocess", "--input", "t/notes.txt", "--outdir", "c",
@@ -122,6 +141,16 @@ class TestExitCodes:
     def test_experiment_bad_config_key(self, workdir, capsys):
         (workdir / "bad.ini").write_text("[experiment]\nbogus_key = 1\n")
         assert run("experiment", "--config", "bad.ini") == EXIT_CONFIG
+
+    def test_experiment_bad_component_value_writes_nothing(self, workdir, capsys):
+        # small stages, so that a late check would fail fast after writing
+        (workdir / "bad.ini").write_text(
+            "[data]\ntemplate_notes = 40\n[experiment]\noutput_dir = out\n"
+            "grid = lstm:0.0\n[embeddings]\ndim = 8\niterations = 1\n"
+            "eval_min_count = 1\n[nli]\nepochs = 1\n[truecase]\nepochs = 1\n"
+            "max_sentences = 20\n[lstm]\npolicy = bogus\n")
+        assert run("experiment", "--config", "bad.ini") == EXIT_CONFIG
+        assert not (workdir / "out").exists()
 
     def test_version_and_help(self, workdir, capsys):
         with pytest.raises(SystemExit):

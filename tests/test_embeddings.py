@@ -15,6 +15,7 @@ from synthnotes.embeddings import (
     train_sgns,
     write_benchmark,
     write_embeddings,
+    _noise_cdf,
     _sgd_pass,
 )
 
@@ -64,6 +65,13 @@ class TestWindowsAndLoss:
                 negatives[j, i] = orig
                 numeric = (hi - lo) / (2 * eps)
                 assert abs(numeric - d_negs[j, i]) / max(abs(numeric), abs(d_negs[j, i]), 1e-6) < 1e-4
+
+    def test_noise_cdf_ends_at_one(self):
+        # ten equal weights sum to 0.9999999999999999 in float64
+        cdf = _noise_cdf(np.ones(10), 0.75)
+        assert cdf[-1] == 1.0
+        assert np.searchsorted(cdf, np.nextafter(1.0, 0), side="right") < len(cdf)
+        np.testing.assert_array_equal(cdf[:-1], np.cumsum(np.full(10, 0.1))[:-1])
 
     def test_sgd_pass_applies_pair_gradients(self):
         """One training batch moves every row by -lr times the sum of its

@@ -1,35 +1,36 @@
+import configparser
 import json
+from dataclasses import asdict, replace
+from pathlib import Path
 
 import pytest
 
+from synthnotes.embeddings import SgnsConfig
 from synthnotes.experiment import (
+    _INI_TABLE,
+    _PATH_FIELDS,
     ExperimentConfig,
     derive_seed,
     parse_cell,
     read_experiment_config,
     run_experiment,
 )
+from synthnotes.neural import LstmLmConfig
+from synthnotes.utility import NliConfig, TruecaserConfig
 
 SMALL_CONFIG = dict(
     template_notes=60,
     grid=("unigram", "lstm:0.0"),
-    lstm_hidden=8,
-    lstm_epochs=2,
-    lstm_lr=1.0,
-    lstm_batch=4,
-    lstm_bptt=20,
+    lstm=LstmLmConfig(hidden_size=8, epochs=2, initial_lr=1.0, batch_size=4, bptt=20),
     privacy_sample_size=2,
-    emb_dim=12,
-    emb_iterations=1,
-    emb_negatives=3,
+    sgns=SgnsConfig(dim=12, iterations=1, negatives=3),
     emb_eval_min_count=3,
-    nli_epochs=2,
-    case_hidden=8,
-    case_emb_dim=6,
-    case_epochs=1,
-    case_max_sentences=150,
+    nli=NliConfig(epochs=2),
+    truecase=TruecaserConfig(hidden=8, emb_dim=6, epochs=1, max_sentences=150),
     seed=5,
 )
+
+INI_KEYS = [(section, key) for section, keys in _INI_TABLE.items() for key in keys]
 
 
 def small_config(outdir, **overrides):
@@ -79,11 +80,46 @@ temperature = 0.9
         config = read_experiment_config(path)
         assert config.seed == 9
         assert config.grid == ("unigram", "lstm:0.3")
-        assert config.lstm_hidden == 16
+        assert config.lstm.hidden_size == 16
+        assert config.lstm.epochs == 3
         assert config.privacy_sample_size == 4
-        assert config.emb_dim == 32
-        assert config.case_max_sentences == 100
+        assert config.sgns.dim == 32
+        assert config.truecase.max_sentences == 100
         assert config.gen_temperature == pytest.approx(0.9)
+
+    @pytest.mark.parametrize("section,key", INI_KEYS)
+    def test_every_key_sets_its_field(self, tmp_path, section, key):
+        component, name = _INI_TABLE[section][key]
+        defaults = ExperimentConfig()
+        target = defaults if component is None else getattr(defaults, component)
+        default = getattr(target, name)
+        raw, value = {"grid": ("bigram", ("bigram",)),
+                      "split_fractions": ("0.7,0.2,0.1", (0.7, 0.2, 0.1)),
+                      "lr_decay_policy": ("medtext103", "medtext103"),
+                      "dtype": ("float32", "float32")}.get(name, (None, None))
+        if raw is None and isinstance(default, (int, float)):
+            raw, value = str(default + 1), default + 1
+        elif raw is None:
+            raw = value = "elsewhere.txt"
+        assert value != default
+        path = tmp_path / "exp.ini"
+        path.write_text(f"[{section}]\n{key} = {raw}\n")
+        changed = replace(target, **{name: value})
+        want = changed if component is None else replace(defaults, **{component: changed})
+        assert read_experiment_config(path) == want
+
+    def test_readme_block_shows_defaults(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        path = tmp_path / "readme.ini"
+        path.write_text(block)
+        parser = configparser.ConfigParser()
+        parser.read(path)
+        assert sorted((s, k) for s in parser.sections() for k in parser[s]) == sorted(INI_KEYS)
+        config = read_experiment_config(path)
+        paths = {name: getattr(config, name) for name in _PATH_FIELDS}
+        assert all(paths.values())
+        assert config == replace(ExperimentConfig(), **paths)
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "exp.ini"
@@ -101,6 +137,17 @@ temperature = 0.9
         config = ExperimentConfig(raw_corpus="does-not-exist.txt")
         with pytest.raises(FileNotFoundError):
             config.validate()
+
+    def test_echo_leaves_out_values_the_run_sets(self):
+        echo = ExperimentConfig(jobs=3, output_dir="elsewhere").echo()
+        assert "jobs" not in echo and "output_dir" not in echo
+        lstm = asdict(ExperimentConfig().lstm)
+        del lstm["seed"], lstm["dropout"]
+        assert echo["lstm"] == lstm
+        for component in ("sgns", "nli", "truecase"):
+            assert "seed" not in echo[component]
+        assert echo["grid"] == ("unigram", "lstm:0.0", "lstm:0.5")
+        json.dumps(echo)
 
 
 class TestRunExperiment:
@@ -120,12 +167,7 @@ class TestRunExperiment:
         run_experiment(small_config(tmp_path / "a"))
         run_experiment(small_config(tmp_path / "b", jobs=2))
         blob_a = (tmp_path / "a" / "report.json").read_bytes()
-        blob_b = (tmp_path / "b" / "report.json").read_bytes()
-        data_a = json.loads(blob_a)
-        data_b = json.loads(blob_b)
-        # jobs is part of the config echo; rows and artifacts must match
-        assert data_a["rows"] == data_b["rows"]
-        assert data_a["artifacts"] == data_b["artifacts"]
+        assert (tmp_path / "b" / "report.json").read_bytes() == blob_a
         run_experiment(small_config(tmp_path / "a"))
         assert (tmp_path / "a" / "report.json").read_bytes() == blob_a
 

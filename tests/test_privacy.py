@@ -1,4 +1,5 @@
 import functools
+import json
 import math
 
 import numpy as np
@@ -14,7 +15,6 @@ from synthnotes.privacy import (
     s_pdtp_note,
     s_pdtp_score,
     write_privacy_report,
-    read_privacy_report,
 )
 
 LN_4_3 = math.log(4.0 / 3.0)
@@ -210,7 +210,7 @@ class TestReportIO:
         report = s_pdtp_score(corpus, config)
         path = tmp_path / "report.json"
         write_privacy_report(report, path)
-        data = read_privacy_report(path)
+        data = json.loads(path.read_text(encoding="utf-8"))
         assert data["aggregate"] == report.aggregate
         assert data["config"]["trainer"] == "unigram"
         assert len(data["records"]) == 2
