@@ -78,6 +78,11 @@ _LSTM_FLAGS = {"hidden": "hidden_size", "layers": "layers", "dropout": "dropout"
                "bptt": "bptt", "batch_size": "batch_size"}
 _SGNS_FLAGS = {"dim": "dim", "window": "window", "negatives": "negatives",
                "iterations": "iterations", "train_min_count": "min_count"}
+_NLI_SGNS_FLAGS = {"dim": "dim"}
+_NLI_FLAGS = {"epochs": "epochs"}
+# --seed sits among the truecaser flags in eval-case's --help
+_CASE_FLAGS = {"hidden": "hidden", "epochs": "epochs", "seed": "seed",
+               "max_sentences": "max_sentences"}
 
 
 def _add_config_flags(p: argparse.ArgumentParser, flags: dict, config_class) -> None:
@@ -86,14 +91,15 @@ def _add_config_flags(p: argparse.ArgumentParser, flags: dict, config_class) -> 
         flag, default = "--" + dest.replace("_", "-"), getattr(defaults, name)
         if name == "lr_decay_policy":
             p.add_argument(flag, choices=LR_POLICIES, default=default)
-        else:
-            p.add_argument(flag, type=type(default), default=default)
+        else:  # a None default (max_sentences) stands for an unset int
+            p.add_argument(flag, type=int if default is None else type(default),
+                           default=default)
 
 
 def _flag_config(args, flags: dict, config_class):
     """The config the flags in `flags` describe, seeded with --seed."""
-    return config_class(seed=args.seed, **{name: getattr(args, dest)
-                                           for dest, name in flags.items()})
+    return config_class(**{"seed": args.seed, **{name: getattr(args, dest)
+                                                 for dest, name in flags.items()}})
 
 
 def _trainer(args, vocab):
@@ -216,10 +222,10 @@ def cmd_eval_nli(args) -> int:
         if not args.corpus:
             raise ConfigError("--embeddings or --corpus is required")
         corpus = corpus_mod.read_corpus(args.corpus, "train")
-        emb = train_sgns(corpus, SgnsConfig(dim=args.dim, seed=args.seed))
+        emb = train_sgns(corpus, _flag_config(args, _NLI_SGNS_FLAGS, SgnsConfig))
     train_data = read_nli_jsonl(args.train)
     test_data = read_nli_jsonl(args.test)
-    clf = train_nli_bow(train_data, emb, NliConfig(epochs=args.epochs, seed=args.seed))
+    clf = train_nli_bow(train_data, emb, _flag_config(args, _NLI_FLAGS, NliConfig))
     print(f"accuracy {evaluate_nli(clf, test_data):.4f}")
     return EXIT_OK
 
@@ -229,9 +235,7 @@ def cmd_eval_case(args) -> int:
     cased = corpus_mod.read_corpus(args.test_cased, "test")
     lowered = corpus_mod.read_corpus(args.test_lowered, "test")
     pairs = read_case_pairs(cased, lowered)
-    config = TruecaserConfig(hidden=args.hidden, epochs=args.epochs, seed=args.seed,
-                             max_sentences=args.max_sentences)
-    caser = train_truecaser(train, config)
+    caser = train_truecaser(train, _flag_config(args, _CASE_FLAGS, TruecaserConfig))
     print(f"case F1 {evaluate_truecase(caser, pairs):.4f}")
     return EXIT_OK
 
@@ -338,8 +342,8 @@ def build_parser() -> _Parser:
     p.add_argument("--test", required=True)
     p.add_argument("--embeddings")
     p.add_argument("--corpus")
-    p.add_argument("--dim", type=int, default=300)
-    p.add_argument("--epochs", type=int, default=30)
+    _add_config_flags(p, _NLI_SGNS_FLAGS, SgnsConfig)
+    _add_config_flags(p, _NLI_FLAGS, NliConfig)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_eval_nli)
 
@@ -347,10 +351,7 @@ def build_parser() -> _Parser:
     p.add_argument("--train", required=True)
     p.add_argument("--test-cased", required=True)
     p.add_argument("--test-lowered", required=True)
-    p.add_argument("--hidden", type=int, default=64)
-    p.add_argument("--epochs", type=int, default=8)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-sentences", type=int, default=None)
+    _add_config_flags(p, _CASE_FLAGS, TruecaserConfig)
     p.set_defaults(fn=cmd_eval_case)
 
     p = sub.add_parser("experiment", help="run the full grid experiment from a config file")

@@ -97,7 +97,9 @@ class ExperimentConfig:
             if path is not None and not Path(path).exists():
                 raise FileNotFoundError(f"{name} path {path!r} does not exist")
         for cell in self.grid:
-            parse_cell(cell)
+            kind, dropout = parse_cell(cell)
+            if kind == "lstm":
+                replace(self.lstm, dropout=dropout)  # the LSTM config's own checks
         if not 1 <= self.privacy_sample_size:
             raise ValueError("privacy_sample_size must be >= 1")
 

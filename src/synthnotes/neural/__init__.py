@@ -1,23 +1,10 @@
 """Neural components: LSTM numerical core, the word-level LSTM language
-model, and the character-level recurrent tagger."""
+model, and the character-level recurrent tagger. The core's functions are
+used through `neural.core`."""
 
-from .char_tagger import CharTagger, CharTaggerConfig, train_char_classifier
-from .core import (
-    StackParams,
-    clip_gradients,
-    global_norm,
-    init_stack,
-    log_softmax,
-    make_dropout_masks,
-    sgd_step,
-    softmax,
-    stack_backward,
-    stack_forward,
-    xent_loss,
-    zero_state,
-)
+from .char_tagger import CharTagger, TruecaserConfig, train_char_classifier
+from .core import DivergenceError
 from .language_model import (
-    DivergenceError,
     LstmLmConfig,
     LstmLmModel,
     batched_note_nll,
@@ -27,24 +14,12 @@ from .language_model import (
 
 __all__ = [
     "CharTagger",
-    "CharTaggerConfig",
     "DivergenceError",
     "LstmLmConfig",
     "LstmLmModel",
-    "StackParams",
+    "TruecaserConfig",
     "batched_note_nll",
     "batchify",
-    "clip_gradients",
-    "global_norm",
-    "init_stack",
-    "log_softmax",
-    "make_dropout_masks",
-    "sgd_step",
-    "softmax",
-    "stack_backward",
-    "stack_forward",
     "train_char_classifier",
     "train_lstm_lm",
-    "xent_loss",
-    "zero_state",
 ]

@@ -1,6 +1,7 @@
 """Character-level recurrent tagger: one label distribution per input
-character. Reuses the LSTM stack with an untied classification head; the
-letter-case restoration task is its main consumer."""
+character. Reuses the LSTM stack with an untied two-class head; its one
+consumer is letter-case restoration (`utility.train_truecaser`), whose
+config it reads."""
 
 from __future__ import annotations
 
@@ -11,46 +12,39 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core
-from .language_model import check_divergence
 
 log = logging.getLogger(__name__)
 
+N_CLASSES = 2
 
-@dataclass
-class CharTaggerConfig:
+
+@dataclass(frozen=True)
+class TruecaserConfig:
     hidden: int = 64
     emb_dim: int = 24
     layers: int = 1
-    n_classes: int = 2
-    dropout: float = 0.0
+    epochs: int = 8
     lr: float = 2.0
-    epochs: int = 10
-    batch_size: int = 32
+    batch_size: int = 8
     grad_clip: float = 1.0
     seed: int = 0
-    dtype: str = "float64"
+    max_sentences: int | None = None  # seeded subsample cap for large corpora
 
     def __post_init__(self):
-        if not 0.0 <= self.dropout < 1.0:
-            raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
-        if self.n_classes < 2:
-            raise ValueError("need at least two label classes")
-
-    @property
-    def np_dtype(self):
-        return np.float32 if self.dtype == "float32" else np.float64
+        if min(self.hidden, self.emb_dim, self.layers, self.epochs, self.batch_size) < 1:
+            raise ValueError("hidden, emb_dim, layers, epochs and batch_size must be >= 1")
+        if self.max_sentences is not None and self.max_sentences < 1:
+            raise ValueError("max_sentences must be None or >= 1")
 
 
 class CharTagger:
-    def __init__(self, n_symbols: int, config: CharTaggerConfig, params: core.StackParams):
-        self.n_symbols = n_symbols
-        self.config = config
+    def __init__(self, params: core.StackParams):
         self.params = params
 
     def label_distributions(self, ids: list[int]) -> np.ndarray:
-        """Per-position label probabilities, shape (len(ids), n_classes)."""
+        """Per-position label probabilities, shape (len(ids), N_CLASSES)."""
         if len(ids) == 0:
-            return np.zeros((0, self.config.n_classes))
+            return np.zeros((0, N_CLASSES))
         x = np.asarray(ids, dtype=np.int64).reshape(-1, 1)
         logits, _, _ = core.stack_forward(self.params, x, core.zero_state(self.params, 1))
         return core.softmax(logits[:, 0, :])
@@ -59,21 +53,8 @@ class CharTagger:
         return self.label_distributions(ids).argmax(axis=1)
 
 
-def _pad_batch(seqs, labels, dtype=np.int64):
-    steps = max(len(s) for s in seqs)
-    width = len(seqs)
-    x = np.zeros((steps, width), dtype=dtype)
-    y = np.zeros((steps, width), dtype=dtype)
-    mask = np.zeros((steps, width), dtype=bool)
-    for j, (s, l) in enumerate(zip(seqs, labels)):
-        x[: len(s), j] = s
-        y[: len(s), j] = l
-        mask[: len(s), j] = True
-    return x, y, mask
-
-
 def train_char_classifier(sequences: list[list[int]], labels: list[list[int]],
-                          n_symbols: int, config: CharTaggerConfig) -> CharTagger:
+                          n_symbols: int, config: TruecaserConfig) -> CharTagger:
     """Train a per-character tagger on aligned (sequence, label) pairs.
 
     Sequences are padded into batches with a loss mask; recurrent state
@@ -90,25 +71,21 @@ def train_char_classifier(sequences: list[list[int]], labels: list[list[int]],
 
     rng = np.random.default_rng(config.seed)
     params = core.init_stack(rng, n_symbols, config.emb_dim, config.hidden,
-                             config.layers, out_dim=config.n_classes, tied=False,
-                             dtype=config.np_dtype)
+                             config.layers, out_dim=N_CLASSES, tied=False)
     lr = config.lr
     best = math.inf
+    work: dict = {}  # the last step's arrays, see core.train_step
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(len(pairs))
         epoch_loss = 0.0
         epoch_chars = 0
         for lo in range(0, len(order), config.batch_size):
             batch = [pairs[i] for i in order[lo : lo + config.batch_size]]
-            x, y, mask = _pad_batch([b[0] for b in batch], [b[1] for b in batch])
-            masks = core.make_dropout_masks(rng, config.dropout, x.shape[0], x.shape[1], params)
-            logits, _, cache = core.stack_forward(params, x, core.zero_state(params, x.shape[1]),
-                                                  masks, want_cache=True)
-            loss, dlogits = core.xent_loss(logits, y, mask)
-            grads = core.stack_backward(params, cache, dlogits)
-            norm = core.clip_gradients(grads, config.grad_clip)
-            check_divergence(loss, norm, f"in the tagger at epoch {epoch}")
-            core.sgd_step(params, grads, lr)
+            x, mask = core.pad_columns([b[0] for b in batch])
+            y, _ = core.pad_columns([b[1] for b in batch])
+            loss, _ = core.train_step(params, x, y, core.zero_state(params, x.shape[1]), lr,
+                                      config.grad_clip, f"in the tagger at epoch {epoch}",
+                                      work, mask=mask)
             n = int(mask.sum())
             epoch_loss += loss * n
             epoch_chars += n
@@ -118,4 +95,4 @@ def train_char_classifier(sequences: list[list[int]], labels: list[list[int]],
         else:
             lr /= 4.0
         log.info("tagger epoch %d: loss %.4f, lr %.3g", epoch, mean_loss, lr)
-    return CharTagger(n_symbols, config, params)
+    return CharTagger(params)

@@ -12,7 +12,7 @@ import numpy as np
 
 from .corpus import Corpus
 from .embeddings import EmbeddingSet
-from .neural import CharTagger, CharTaggerConfig, train_char_classifier
+from .neural import CharTagger, TruecaserConfig, train_char_classifier
 
 NLI_LABELS = ("entailment", "contradiction", "neutral")
 
@@ -35,6 +35,10 @@ class NliConfig:
     epochs: int = 30
     batch_size: int = 32
     seed: int = 0
+
+    def __post_init__(self):
+        if min(self.hidden, self.epochs, self.batch_size) < 1:
+            raise ValueError("hidden, epochs and batch_size must be >= 1")
 
 
 class NliBowClassifier:
@@ -171,19 +175,6 @@ class CasePair:
                 raise ValueError(f"{l!r} is not the lowercase of {c!r}")
 
 
-@dataclass(frozen=True)
-class TruecaserConfig:
-    hidden: int = 64
-    emb_dim: int = 24
-    layers: int = 1
-    epochs: int = 8
-    lr: float = 2.0
-    batch_size: int = 8
-    grad_clip: float = 1.0
-    seed: int = 0
-    max_sentences: int | None = None  # seeded subsample cap for large corpora
-
-
 class Truecaser:
     """Character-level case restorer; a trained tagger plus its alphabet."""
 
@@ -260,13 +251,8 @@ def train_truecaser(train: Corpus, config: TruecaserConfig = TruecaserConfig()) 
         chars.update(lowered)
     alphabet = {ch: i + 1 for i, ch in enumerate(sorted(chars))}  # 0 is unk
 
-    tagger_config = CharTaggerConfig(
-        hidden=config.hidden, emb_dim=config.emb_dim, layers=config.layers,
-        n_classes=2, lr=config.lr, epochs=config.epochs,
-        batch_size=config.batch_size, grad_clip=config.grad_clip, seed=config.seed,
-    )
     sequences = [[alphabet[ch] for ch in text] for text in texts]
-    tagger = train_char_classifier(sequences, labels, len(alphabet) + 1, tagger_config)
+    tagger = train_char_classifier(sequences, labels, len(alphabet) + 1, config)
     return Truecaser(tagger, alphabet)
 
 

@@ -3,8 +3,10 @@ import os
 
 import pytest
 
-from synthnotes import corpus as corpus_mod, lm, modelio
+from synthnotes import cli, corpus as corpus_mod, lm, modelio
 from synthnotes.cli import EXIT_CONFIG, EXIT_OK, main
+from synthnotes.embeddings import SgnsConfig
+from synthnotes.utility import NliConfig, TruecaserConfig
 
 
 @pytest.fixture
@@ -127,6 +129,38 @@ class TestPipeline:
                    "--hidden", "12", "--epochs", "1", "--seed", "0") == EXIT_OK
         assert "case F1" in capsys.readouterr().out
 
+    def test_eval_flags_reach_their_configs(self, workdir, monkeypatch):
+        run("template", "--seed", "1", "--notes", "30", "--outdir", "t")
+        for outdir, lower in (("c", ()), ("cl", ("--lowercase",))):
+            run("preprocess", "--input", "t/notes.txt", "--outdir", outdir, "--seed", "2",
+                "--min-count", "2", *lower)
+        configs = {}
+
+        class Reached(Exception):
+            pass
+
+        def recorder(name, result=None):
+            def record(*args):
+                configs[name] = args[-1]
+                if result is None:
+                    raise Reached
+                return result
+            return record
+
+        monkeypatch.setattr(cli, "train_sgns", recorder("sgns", result="embeddings"))
+        monkeypatch.setattr(cli, "train_nli_bow", recorder("nli"))
+        monkeypatch.setattr(cli, "train_truecaser", recorder("truecase"))
+        with pytest.raises(Reached):
+            run("eval-nli", "--train", "t/nli_train.jsonl", "--test", "t/nli_test.jsonl",
+                "--corpus", "c/train.txt", "--dim", "16", "--epochs", "2", "--seed", "5")
+        with pytest.raises(Reached):
+            run("eval-case", "--train", "c/train.txt", "--test-cased", "c/test.cased.txt",
+                "--test-lowered", "cl/test.cased.txt", "--hidden", "12", "--epochs", "3",
+                "--seed", "6", "--max-sentences", "40")
+        assert configs == {"sgns": SgnsConfig(dim=16, seed=5), "nli": NliConfig(epochs=2, seed=5),
+                           "truecase": TruecaserConfig(hidden=12, epochs=3, seed=6,
+                                                       max_sentences=40)}
+
 
 class TestExitCodes:
     def test_unknown_flag_is_config_error(self, workdir, capsys):
@@ -149,6 +183,24 @@ class TestExitCodes:
             "grid = lstm:0.0\n[embeddings]\ndim = 8\niterations = 1\n"
             "eval_min_count = 1\n[nli]\nepochs = 1\n[truecase]\nepochs = 1\n"
             "max_sentences = 20\n[lstm]\npolicy = bogus\n")
+        assert run("experiment", "--config", "bad.ini") == EXIT_CONFIG
+        assert not (workdir / "out").exists()
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("truecase", "batch", "0"),
+        ("nli", "epochs", "0"),
+        ("experiment", "grid", "unigram, lstm:1.5"),
+    ])
+    def test_experiment_bad_value_checked_before_any_stage(self, workdir, capsys,
+                                                            section, key, value):
+        sections = {"data": {"template_notes": "40"},
+                    "experiment": {"output_dir": "out", "grid": "unigram"},
+                    "embeddings": {"dim": "8", "iterations": "1", "eval_min_count": "1"},
+                    "nli": {"epochs": "1"}, "truecase": {"epochs": "1", "max_sentences": "20"}}
+        sections[section][key] = value
+        (workdir / "bad.ini").write_text("".join(
+            f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+            for name, keys in sections.items()))
         assert run("experiment", "--config", "bad.ini") == EXIT_CONFIG
         assert not (workdir / "out").exists()
 

@@ -7,13 +7,12 @@ from synthnotes.corpus import Corpus, EON_TOKEN, Note, UNK_TOKEN, Vocabulary
 from synthnotes import lm
 from synthnotes.neural import language_model
 from synthnotes.neural import (
-    CharTaggerConfig,
     DivergenceError,
     LstmLmConfig,
+    TruecaserConfig,
+    batched_note_nll,
     batchify,
-    clip_gradients,
     core,
-    global_norm,
     train_char_classifier,
     train_lstm_lm,
 )
@@ -254,6 +253,22 @@ class TestForward:
         with pytest.raises(ValueError):
             core.stack_forward(params, np.zeros(5, dtype=int), core.zero_state(params, 1))
 
+    def test_batched_note_nll_matches_notes_scored_alone(self):
+        rng, params, _, _ = tiny_setup(seed=13)
+        eon = 0
+        notes = [rng.integers(1, 12, size=n).tolist() for n in (5, 1, 9, 3, 1, 7)]
+        total, count, per_note = batched_note_nll(params, notes, eon)
+        for ids, lp in zip(notes, per_note):
+            # reference: batch-1 steps from a zero state, seeded by <eon>
+            state, token, expected = core.zero_state(params, 1), eon, []
+            for target in ids:
+                probs, state = core.lstm_step(params, token, state)
+                expected.append(np.log(probs[target]))
+                token = target
+            np.testing.assert_allclose(lp, expected, rtol=0, atol=1e-12)
+        assert count == sum(len(ids) for ids in notes)
+        assert total == pytest.approx(-sum(lp.sum() for lp in per_note), abs=1e-12)
+
 
 class TestGradients:
     def test_against_finite_differences(self):
@@ -329,8 +344,8 @@ class TestGradients:
                                               want_cache=True)
         _, dlogits = core.xent_loss(logits, y)
         grads = core.stack_backward(params, cache, dlogits)
-        clip_gradients(grads, 0.25)
-        assert global_norm(grads) <= 0.25 + 1e-12
+        core.clip_gradients(grads, 0.25)
+        assert core.global_norm(grads) <= 0.25 + 1e-12
 
     def test_inverted_dropout_expectation(self):
         rng, params, x, _ = tiny_setup(seed=21)
@@ -366,6 +381,12 @@ class TestTrainLstm:
     def test_dropout_one_rejected(self):
         with pytest.raises(ValueError):
             LstmLmConfig(dropout=1.0)
+
+    def test_unknown_dtype_rejected(self):
+        assert LstmLmConfig(dtype="float32").np_dtype is np.float32
+        assert LstmLmConfig(dtype="float64").np_dtype is np.float64
+        with pytest.raises(ValueError, match="dtype"):
+            LstmLmConfig(dtype="flaot32")
 
     def test_tied_embedding_is_single_storage(self):
         corpus, vocab = repeated_sentence_corpus()
@@ -435,19 +456,19 @@ class TestCharTagger:
     def test_memorizes_single_pair(self):
         seq = [1, 2, 3, 4, 2, 1, 5, 3]
         labels = [0, 1, 0, 1, 1, 0, 0, 1]
-        config = CharTaggerConfig(hidden=24, emb_dim=8, epochs=150, lr=1.0,
-                                  batch_size=1, seed=2)
+        config = TruecaserConfig(hidden=24, emb_dim=8, epochs=150, lr=1.0,
+                                 batch_size=1, seed=2)
         tagger = train_char_classifier([seq], [labels], n_symbols=6, config=config)
         assert list(tagger.predict(seq)) == labels
 
     def test_distributions_sum_to_one(self):
-        config = CharTaggerConfig(hidden=8, emb_dim=4, epochs=2, seed=0)
+        config = TruecaserConfig(hidden=8, emb_dim=4, epochs=2, seed=0)
         tagger = train_char_classifier([[1, 2, 1]], [[0, 1, 0]], n_symbols=3, config=config)
         dist = tagger.label_distributions([1, 2, 2, 1])
         np.testing.assert_allclose(dist.sum(axis=1), 1.0, atol=1e-9)
 
     def test_deterministic_under_seed(self):
-        config = CharTaggerConfig(hidden=8, emb_dim=4, epochs=3, seed=6)
+        config = TruecaserConfig(hidden=8, emb_dim=4, epochs=3, seed=6)
         a = train_char_classifier([[1, 2, 1]], [[0, 1, 0]], n_symbols=3, config=config)
         b = train_char_classifier([[1, 2, 1]], [[0, 1, 0]], n_symbols=3, config=config)
         for (_, pa), (_, pb) in zip(a.params.named_arrays(), b.params.named_arrays()):
@@ -456,12 +477,12 @@ class TestCharTagger:
     def test_divergence_reported(self):
         seqs = [[1, 2, 3, 4, 2, 1], [3, 3, 1, 2]] * 4
         labels = [[0, 1, 0, 1, 1, 0], [1, 0, 0, 1]] * 4
-        config = CharTaggerConfig(hidden=8, emb_dim=4, epochs=4, lr=1e18, grad_clip=1e18,
-                                  batch_size=2, seed=0)
+        config = TruecaserConfig(hidden=8, emb_dim=4, epochs=4, lr=1e18, grad_clip=1e18,
+                                 batch_size=2, seed=0)
         with pytest.raises(DivergenceError, match="epoch"):
             train_char_classifier(seqs, labels, n_symbols=5, config=config)
 
     def test_misaligned_labels_rejected(self):
-        config = CharTaggerConfig(hidden=8, emb_dim=4, epochs=1, seed=0)
+        config = TruecaserConfig(hidden=8, emb_dim=4, epochs=1, seed=0)
         with pytest.raises(ValueError):
             train_char_classifier([[1, 2]], [[0]], n_symbols=3, config=config)

@@ -97,6 +97,11 @@ class TestNli:
                             NliConfig(epochs=20, seed=0))
         assert evaluate_nli(clf, test) == evaluate_nli(clf, list(reversed(test)))
 
+    @pytest.mark.parametrize("field", ["hidden", "epochs", "batch_size"])
+    def test_config_sizes_checked(self, field):
+        with pytest.raises(ValueError, match=field):
+            NliConfig(**{field: 0})
+
     def test_empty_test_rejected(self):
         emb = random_embeddings(["a"])
         clf = train_nli_bow([NliExample(("a",), ("a",), "neutral")], emb,
@@ -189,6 +194,12 @@ class TestTruecaser:
         bad = Corpus((lowered.notes[0],), "test")
         with pytest.raises(ValueError):
             read_case_pairs(cased, bad)
+
+    @pytest.mark.parametrize("field", ["hidden", "emb_dim", "layers", "epochs", "batch_size",
+                                       "max_sentences"])
+    def test_config_sizes_checked(self, field):
+        with pytest.raises(ValueError, match=field):
+            TruecaserConfig(**{field: 0})
 
     def test_empty_training_corpus_rejected(self):
         with pytest.raises(ValueError):
