@@ -100,6 +100,7 @@ class ExperimentConfig:
             kind, dropout = parse_cell(cell)
             if kind == "lstm":
                 replace(self.lstm, dropout=dropout)  # the LSTM config's own checks
+        GenerationConfig(1, self.gen_temperature, max_note_length=self.gen_max_note_length)
         if not 1 <= self.privacy_sample_size:
             raise ValueError("privacy_sample_size must be >= 1")
 

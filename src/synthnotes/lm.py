@@ -28,17 +28,18 @@ class LanguageModel:
 
     A model answers exactly three questions:
 
-    - :meth:`start_state` -- the state before any token (``None`` for
-      models without a recurrent state);
-    - :meth:`step` -- consume one token id and return the next-token
-      probability vector with the new state; ancestral sampling walks this;
+    - :meth:`start_state` -- the state of ``n`` streams before any token
+      (``None`` for models without a recurrent state);
+    - :meth:`step` -- consume ``ids`` (n,), one token per stream, and return
+      the (n, V) next-token distributions and the new state; sampling walks it;
     - :meth:`sequence_log_probs` -- per-position ``log p(w_i | w_1..i-1)``
       for one note, scored from a fresh note start; perplexity and the
       privacy audit use this.
 
     A note starts from the end-of-note id (an unseen context when the token
-    space lacks it), so scoring ``ids`` equals the log of the :meth:`step`
-    distributions walked along ``[eon_id] + ids``.
+    space lacks it), and a stream fed that id starts a fresh note. So scoring
+    ``ids`` equals the log of the :meth:`step` rows walked along
+    ``[eon_id] + ids``, and each row of a step equals its stream stepped alone.
     """
 
     def __init__(self, vocab):
@@ -53,11 +54,12 @@ class LanguageModel:
     def token_id(self, token: str) -> int:
         return self._ids[token]
 
-    def start_state(self):
+    def start_state(self, n: int):
         return None
 
-    def step(self, token_id: int, state):
-        """Consume one token, return (next-token distribution, new state)."""
+    def step(self, ids: np.ndarray, state):
+        """Consume one token per stream, ids (n,); return the next-token
+        distributions (n, V) and the new state."""
         raise NotImplementedError
 
     def sequence_log_probs(self, ids) -> np.ndarray:
@@ -100,8 +102,8 @@ class UniformModel(LanguageModel):
     def train(self, corpus: Corpus) -> "UniformModel":
         return self
 
-    def step(self, token_id: int, state=None):
-        return np.full(self.vocab_size, 1.0 / self.vocab_size), None
+    def step(self, ids, state=None):
+        return np.full((len(ids), self.vocab_size), 1.0 / self.vocab_size), None
 
     def sequence_log_probs(self, ids) -> np.ndarray:
         return np.full(len(self._checked_ids(ids)), -math.log(self.vocab_size))
@@ -133,8 +135,8 @@ class UnigramModel(LanguageModel):
     def sequence_log_probs(self, ids) -> np.ndarray:
         return self._log_probs[self._checked_ids(ids)]
 
-    def step(self, token_id: int, state=None):
-        return np.exp(self._log_probs), None
+    def step(self, ids, state=None):
+        return np.broadcast_to(np.exp(self._log_probs), (len(ids), self.vocab_size)), None
 
 
 class BigramModel(LanguageModel):
@@ -166,11 +168,13 @@ class BigramModel(LanguageModel):
         self._row_totals = totals
         return self
 
-    def step(self, token_id: int, state=None):
-        dist = np.ones(self.vocab_size)
-        for tok, c in self._rows.get(token_id, {}).items():
-            dist[tok] += c
-        return dist / (self._row_totals.get(token_id, 0) + self.vocab_size), None
+    def step(self, ids, state=None):
+        dists = np.ones((len(ids), self.vocab_size))
+        for r, token_id in enumerate(ids.tolist()):
+            for tok, c in self._rows.get(token_id, {}).items():
+                dists[r, tok] += c
+            dists[r] /= self._row_totals.get(token_id, 0) + self.vocab_size
+        return dists, None
 
     def sequence_log_probs(self, ids) -> np.ndarray:
         probs = np.empty(len(ids))

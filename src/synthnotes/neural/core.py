@@ -189,9 +189,9 @@ def stack_forward(params: StackParams, x_ids: np.ndarray, state,
     hidden = params.layers[0].wh.shape[0]
     dtype = params.emb.dtype
     scale, shift = _gate_affine(dtype, hidden, batch)
-    keep_rows = None
+    keep_rows = None  # also for a mask without marks: most generation steps reset no stream
     reset_steps = frozenset()
-    if reset_mask is not None:
+    if reset_mask is not None and reset_mask.any():
         keep = 1.0 - reset_mask.astype(dtype)[:, None, :]  # (T,1,B)
         keep_rows = np.repeat(keep, hidden, axis=1)  # gate-row (T,H,B)
         # keep is all ones at the other steps, where its product is skipped
@@ -459,8 +459,9 @@ def pad_columns(seqs) -> tuple[np.ndarray, np.ndarray]:
     return ids, mask
 
 
-def lstm_step(params: StackParams, token_id: int, state):
-    """Single-token, batch-1 evaluation step; returns (probs (V,), state)."""
-    x = np.array([[token_id]])
-    logits, new_state, _ = stack_forward(params, x, state, masks=None)
-    return softmax(logits[0, 0]), new_state
+def lstm_step(params: StackParams, ids: np.ndarray, state, reset: np.ndarray):
+    """One evaluation step of n streams, ids and reset (n,): a stream marked
+    in reset starts from a zero state. Returns (probs (n, V), state)."""
+    logits, new_state, _ = stack_forward(params, ids[None, :], state,
+                                         reset_mask=reset[None, :])
+    return softmax(logits[0]), new_state

@@ -39,9 +39,9 @@ class LstmLmConfig:
     seed: int = 0
     min_lr: float = 0.1          # floor applied by the medtext103 policy
     min_improvement: float = 0.1  # medtext103 plateau threshold (valid NLL)
-    # "float64" is the conformance dtype. "float32" is not simply faster:
-    # the batch-1 step that generation runs, core.lstm_step, took 68 us in
-    # float32 against 54 us in float64 (H=48, V=493, 2-core Xeon)
+    # "float64" is the conformance dtype. A generation step at 16 streams
+    # (model step plus sampling) took 9.0 us per token in float32 against
+    # 12.9 us in float64 (H=48, V=493, one BLAS thread, 2-core Xeon)
     dtype: str = "float64"
 
     def __post_init__(self):
@@ -72,13 +72,12 @@ class LstmLmModel(LanguageModel):
         self.params = params
         self.history: list[dict] = []
 
-    def start_state(self):
-        return core.zero_state(self.params, 1)
+    def start_state(self, n: int):
+        return core.zero_state(self.params, n)
 
-    def step(self, token_id: int, state):
-        if token_id == self.eon_id:
-            state = self.start_state()  # note boundary: fresh context
-        return core.lstm_step(self.params, token_id, state)
+    def step(self, ids, state):
+        # a note boundary gives its stream a fresh context, as in training
+        return core.lstm_step(self.params, ids, state, ids == self.eon_id)
 
     def sequence_log_probs(self, ids) -> np.ndarray:
         ids = self._checked_ids(ids)

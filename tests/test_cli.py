@@ -190,6 +190,8 @@ class TestExitCodes:
         ("truecase", "batch", "0"),
         ("nli", "epochs", "0"),
         ("experiment", "grid", "unigram, lstm:1.5"),
+        ("generation", "temperature", "nan"),
+        ("generation", "max_note_length", "0"),
     ])
     def test_experiment_bad_value_checked_before_any_stage(self, workdir, capsys,
                                                             section, key, value):
@@ -197,7 +199,7 @@ class TestExitCodes:
                     "experiment": {"output_dir": "out", "grid": "unigram"},
                     "embeddings": {"dim": "8", "iterations": "1", "eval_min_count": "1"},
                     "nli": {"epochs": "1"}, "truecase": {"epochs": "1", "max_sentences": "20"}}
-        sections[section][key] = value
+        sections.setdefault(section, {})[key] = value
         (workdir / "bad.ini").write_text("".join(
             f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
             for name, keys in sections.items()))

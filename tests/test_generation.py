@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -13,11 +15,11 @@ class CycleModel(LanguageModel):
         tokens = tuple(f"w{i}" for i in range(10)) + (EON_TOKEN,)
         super().__init__(tokens)
 
-    def step(self, token_id, state):
-        nxt = 0 if token_id == self.eon_id else token_id + 1
-        dist = np.full(self.vocab_size, 1e-12)
-        dist[nxt] = 1.0
-        return dist / dist.sum(), None
+    def step(self, ids, state):
+        nxt = np.where(ids == self.eon_id, 0, ids + 1)
+        dists = np.full((len(ids), self.vocab_size), 1e-12)
+        dists[np.arange(len(ids)), nxt] = 1.0
+        return dists / dists.sum(axis=1, keepdims=True), None
 
 
 def unigram_fixture():
@@ -28,41 +30,73 @@ def unigram_fixture():
     return train_unigram(corpus, (UNK_TOKEN, EON_TOKEN, "a", "b", "c", "."))
 
 
+def draw(dist, temperature, rng) -> int:
+    """One draw from a one-row call of the row-wise sampler."""
+    ids = sample_from_distribution(np.asarray(dist)[None, :], temperature, rng)
+    assert ids.shape == (1,)
+    return int(ids[0])
+
+
 class TestSampling:
     def test_temperature_zero_is_argmax_with_low_id_ties(self):
         rng = np.random.default_rng(0)
-        assert sample_from_distribution(np.array([0.2, 0.4, 0.4]), 0.0, rng) == 1
+        assert draw(np.array([0.2, 0.4, 0.4]), 0.0, rng) == 1
         model = unigram_fixture()
-        dist, _ = model.step(model.eon_id, model.start_state())
+        dist = model.step(np.array([model.eon_id]), model.start_state(1))[0][0]
         best = int(np.argmax(dist))
         for _ in range(5):
-            assert sample_from_distribution(dist, 0.0, rng) == best
+            assert draw(dist, 0.0, rng) == best
 
     def test_fixed_seed_reproducible(self):
         model = unigram_fixture()
-        dist, _ = model.step(model.eon_id, model.start_state())
-        draws1 = [sample_from_distribution(dist, 1.0, np.random.default_rng(4)) for _ in range(1)]
-        draws2 = [sample_from_distribution(dist, 1.0, np.random.default_rng(4)) for _ in range(1)]
+        dist = model.step(np.array([model.eon_id]), model.start_state(1))[0][0]
+        draws1 = [draw(dist, 1.0, np.random.default_rng(4)) for _ in range(1)]
+        draws2 = [draw(dist, 1.0, np.random.default_rng(4)) for _ in range(1)]
         rng1, rng2 = np.random.default_rng(4), np.random.default_rng(4)
-        seq1 = [sample_from_distribution(dist, 1.0, rng1) for _ in range(50)]
-        seq2 = [sample_from_distribution(dist, 1.0, rng2) for _ in range(50)]
+        seq1 = [draw(dist, 1.0, rng1) for _ in range(50)]
+        seq2 = [draw(dist, 1.0, rng2) for _ in range(50)]
         assert seq1 == seq2 and draws1 == draws2
 
     def test_binomial_bound_on_fair_coin(self):
         rng = np.random.default_rng(123)
         dist = np.array([0.5, 0.5])
-        ones = sum(sample_from_distribution(dist, 1.0, rng) for _ in range(10_000))
+        ones = sum(draw(dist, 1.0, rng) for _ in range(10_000))
         assert abs(ones - 5000) <= 200
 
     def test_temperature_sharpens(self):
         rng = np.random.default_rng(7)
         dist = np.array([0.8, 0.2])
-        cold = [sample_from_distribution(dist, 0.1, rng) for _ in range(300)]
+        cold = [draw(dist, 0.1, rng) for _ in range(300)]
         assert sum(cold) < 5  # nearly deterministic at low temperature
+
+    def test_one_row_call_is_the_scalar_inverse_cdf_draw(self):
+        dist = np.random.default_rng(5).random(40)
+        dist /= dist.sum()
+        rng, ref = np.random.default_rng(9), np.random.default_rng(9)
+        for _ in range(200):
+            cdf = np.cumsum(dist)
+            expected = int(np.searchsorted(cdf, ref.random() * cdf[-1], side="right"))
+            assert draw(dist, 1.0, rng) == expected
+
+    def test_rows_sample_independently(self):
+        dists = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.5, 0.5],
+                          [0.2, 0.4, 0.4]])
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            ids = sample_from_distribution(dists, 1.0, rng)
+            assert ids.shape == (4,)
+            assert ids[0] == 0 and ids[1] == 2 and ids[2] in (1, 2)
+        np.testing.assert_array_equal(sample_from_distribution(dists, 0.0, rng),
+                                      [0, 2, 1, 1])
 
     def test_negative_temperature_rejected(self):
         with pytest.raises(ValueError):
             GenerationConfig(target_word_count=10, temperature=-0.5)
+
+    @pytest.mark.parametrize("temperature", [math.nan, math.inf])
+    def test_non_finite_temperature_rejected(self, temperature):
+        with pytest.raises(ValueError, match="finite"):
+            GenerationConfig(target_word_count=10, temperature=temperature)
 
 
 class TestGenerateCorpus:
@@ -131,3 +165,20 @@ class TestGenerateCorpus:
         freq = counts / counts.sum()
         target = np.exp(model._log_probs)
         assert np.abs(freq - target).sum() < 0.02
+
+
+class TestStreams:
+    @pytest.mark.parametrize("target", [1, 37])
+    def test_stop_rule_bounds_and_emission_order(self, tmp_path, target):
+        model = unigram_fixture()
+        config = GenerationConfig(target_word_count=target, seed=5, max_note_length=6)
+        corpus = generate_corpus(model, config)
+        assert target <= corpus.word_count <= target + config.max_note_length
+        assert all(note.word_count > 0 for note in corpus)
+        assert [note.id for note in corpus] == [f"gen-{i:05d}" for i in range(len(corpus))]
+        # the stop comes at the first note that reaches the target
+        assert corpus.word_count - corpus.notes[-1].word_count < target
+        a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+        write_corpus(corpus, a)
+        write_corpus(generate_corpus(model, config), b)
+        assert a.read_bytes() == b.read_bytes()

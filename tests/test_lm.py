@@ -31,8 +31,8 @@ class TestUnigram:
 
     def test_distribution_sums_to_one(self):
         model = train_unigram(corpus_of(["a", "b", "b"]), ("a", "b", "c"))
-        dist, _ = model.step(0, model.start_state())
-        assert dist.sum() == pytest.approx(1.0, abs=1e-9)
+        dist, _ = model.step(np.array([0]), model.start_state(1))
+        assert dist[0].sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_out_of_vocab_id_rejected(self):
         model = train_unigram(corpus_of(["a"]), ("a",))
@@ -43,25 +43,27 @@ class TestUnigram:
     def test_context_independence_exact(self):
         model = train_unigram(corpus_of(["a", "b", "a"]), ("a", "b"))
         assert model.sequence_log_probs([0, 1])[1] == model.sequence_log_probs([1, 0, 1, 1])[3]
-        assert np.array_equal(model.step(0, None)[0], model.step(1, None)[0])
+        dists, _ = model.step(np.array([0, 1]), None)
+        assert np.array_equal(dists[0], dists[1])
 
 
 class TestBigram:
     def test_conditional_formula(self):
         model = train_bigram(corpus_of(["a", "b", "a", "b"]), ("a", "b"))
-        assert model.step(0, None)[0][1] == pytest.approx(3 / 4, abs=1e-12)
+        assert model.step(np.array([0]), None)[0][0, 1] == pytest.approx(3 / 4, abs=1e-12)
         assert model.sequence_log_probs([0, 1])[1] == pytest.approx(math.log(3 / 4), abs=1e-12)
 
     def test_unseen_context_uniform(self):
         model = train_bigram(corpus_of(["a", "a"]), ("a", "b"))
-        np.testing.assert_allclose(model.step(1, None)[0], [0.5, 0.5], atol=1e-12)
+        np.testing.assert_allclose(model.step(np.array([1]), None)[0], [[0.5, 0.5]],
+                                   atol=1e-12)
         # without an end-of-note token the note start is an unseen context
         assert model.sequence_log_probs([1])[0] == pytest.approx(math.log(0.5), abs=1e-12)
 
     def test_rows_normalize(self):
         model = train_bigram(corpus_of(["a", "b", "b", "a"], ["b", "a"]), ("a", "b"))
-        for ctx in (0, 1):
-            assert model.step(ctx, None)[0].sum() == pytest.approx(1.0, abs=1e-9)
+        for row in model.step(np.array([0, 1]), None)[0]:
+            assert row.sum() == pytest.approx(1.0, abs=1e-9)
 
 
 class TestPerplexity:
@@ -108,10 +110,12 @@ class TestContract:
         rng = np.random.default_rng(17)
         for _ in range(20):
             ids = [int(i) for i in rng.integers(1, 4, size=rng.integers(0, 8))]
-            state = model.start_state()
+            state = model.start_state(1)
             walked = []
             for prev, tok in zip([model.eon_id] + ids, ids + [None]):
-                dist, state = model.step(prev, state)
+                dists, state = model.step(np.array([prev]), state)
+                assert dists.shape == (1, model.vocab_size)
+                dist = dists[0]
                 assert dist.sum() == pytest.approx(1.0, abs=1e-9)
                 assert np.all(dist > 0)
                 if tok is not None:
@@ -122,6 +126,19 @@ class TestContract:
         for ids in ([4], [1, -1]):
             with pytest.raises(ValueError):
                 model.sequence_log_probs(ids)
+
+    @pytest.mark.parametrize("factory", [
+        lambda v: UniformModel(v),
+        lambda v: UnigramModel(v).train(corpus_of(["a", "b", "b", "c"])),
+        lambda v: BigramModel(v).train(corpus_of(["a", "b", "b", "c"], ["c", "a"])),
+    ])
+    def test_batched_rows_equal_lone_steps_exactly(self, factory):
+        model = factory((EON_TOKEN, "a", "b", "c"))
+        ids = np.array([2, 0, 3, 2, 1])
+        dists, _ = model.step(ids, model.start_state(len(ids)))
+        assert dists.shape == (len(ids), model.vocab_size)
+        for row, i in zip(dists, ids):
+            assert np.array_equal(row, model.step(np.array([i]), model.start_state(1))[0][0])
 
     def test_eon_counted_in_stream(self):
         model = train_unigram(corpus_of(["a", "a", "a"]), (UNK_TOKEN, EON_TOKEN, "a"))

@@ -35,8 +35,8 @@ class TestRoundtrip:
         path = tmp_path / "m.ptlm"
         save_model(model, path)
         back = load_model(path)
-        for ctx in range(len(model.tokens)):
-            np.testing.assert_array_equal(back.step(ctx, None)[0], model.step(ctx, None)[0])
+        ctx = np.arange(len(model.tokens))
+        np.testing.assert_array_equal(back.step(ctx, None)[0], model.step(ctx, None)[0])
         ids = [2, 3, 2, 5, 4]
         np.testing.assert_array_equal(back.sequence_log_probs(ids), model.sequence_log_probs(ids))
 

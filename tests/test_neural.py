@@ -259,15 +259,38 @@ class TestForward:
         notes = [rng.integers(1, 12, size=n).tolist() for n in (5, 1, 9, 3, 1, 7)]
         total, count, per_note = batched_note_nll(params, notes, eon)
         for ids, lp in zip(notes, per_note):
-            # reference: batch-1 steps from a zero state, seeded by <eon>
+            # reference: one-stream steps from a zero state, seeded by <eon>
             state, token, expected = core.zero_state(params, 1), eon, []
             for target in ids:
-                probs, state = core.lstm_step(params, token, state)
-                expected.append(np.log(probs[target]))
+                probs, state = core.lstm_step(params, np.array([token]), state,
+                                              np.array([False]))
+                expected.append(np.log(probs[0, target]))
                 token = target
             np.testing.assert_allclose(lp, expected, rtol=0, atol=1e-12)
         assert count == sum(len(ids) for ids in notes)
         assert total == pytest.approx(-sum(lp.sum() for lp in per_note), abs=1e-12)
+
+    def test_batched_step_rows_equal_streams_stepped_alone(self):
+        rng, params, _, _ = tiny_setup(seed=21, init_scale=0.5)
+        model = language_model.LstmLmModel((EON_TOKEN, *(f"w{i}" for i in range(11))),
+                                           LstmLmConfig(hidden_size=8), params)
+        eon, streams, steps = model.eon_id, 4, 20
+        feed = rng.integers(1, 12, size=(steps, streams))
+        feed[0] = eon
+        # each column is fed <eon> at its own steps
+        for t, j in ((3, 0), (5, 2), (8, 1), (8, 3), (12, 0), (17, 2)):
+            feed[t, j] = eon
+        first = model.step(np.array([eon]), model.start_state(1))[0][0]
+        state = model.start_state(streams)
+        alone = [model.start_state(1) for _ in range(streams)]
+        for t in range(steps):
+            dists, state = model.step(feed[t], state)
+            assert dists.shape == (streams, model.vocab_size)
+            for j in range(streams):
+                row, alone[j] = model.step(feed[t, j:j + 1], alone[j])
+                np.testing.assert_allclose(dists[j], row[0], rtol=0, atol=1e-12)
+                if feed[t, j] == eon:
+                    np.testing.assert_allclose(dists[j], first, rtol=0, atol=1e-12)
 
 
 class TestGradients:
