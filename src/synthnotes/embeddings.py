@@ -5,10 +5,12 @@ against gold ratings)."""
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+from scipy.sparse import csr_matrix
 from scipy.special import expit as sigmoid
 from scipy.stats import spearmanr
 
@@ -31,8 +33,12 @@ class SgnsConfig:
     def __post_init__(self):
         if self.dim < 1 or self.window < 1 or self.iterations < 1:
             raise ValueError("dim, window and iterations must be >= 1")
-        if self.negatives < 1:
-            raise ValueError("negatives must be >= 1")
+        if self.negatives < 1 or self.batch_pairs < 1 or self.min_count < 1:
+            raise ValueError("negatives, batch_pairs and min_count must be >= 1")
+        if not (math.isfinite(self.initial_lr) and 0.0 < self.min_lr <= self.initial_lr):
+            raise ValueError("need finite 0 < min_lr <= initial_lr")
+        if not (math.isfinite(self.noise_power) and self.noise_power >= 0.0):
+            raise ValueError("noise_power must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -74,18 +80,6 @@ def extract_window_pairs(tokens: list, window: int) -> list[tuple]:
     return pairs
 
 
-def sgns_pair_loss(center: np.ndarray, context: np.ndarray, negatives: np.ndarray):
-    """Loss and gradients of one (center, context, negatives) triple:
-    -log s(c.o) - sum_n log s(-c.n). Returns (loss, d_center, d_context, d_negatives)."""
-    pos = float(sigmoid(center @ context))
-    negs = sigmoid(negatives @ center)
-    loss = -np.log(pos) - float(np.sum(np.log(1.0 - negs)))
-    d_center = (pos - 1.0) * context + negs @ negatives
-    d_context = (pos - 1.0) * center
-    d_negatives = negs[:, None] * center[None, :]
-    return loss, d_center, d_context, d_negatives
-
-
 def _noise_cdf(counts: np.ndarray, power: float) -> np.ndarray:
     weights = counts.astype(np.float64) ** power
     cdf = np.cumsum(weights / weights.sum())
@@ -97,7 +91,9 @@ def _noise_cdf(counts: np.ndarray, power: float) -> np.ndarray:
 
 def _sgd_pass(w_in, w_out, centers, contexts, cdf, config: SgnsConfig,
               rng: np.random.Generator, seen: int, total_visits: int) -> int:
-    """One pass over the given pairs, updating w_in/w_out in place."""
+    """One pass over the given pairs, updating w_in/w_out in place. A batch
+    reads all its rows before it writes any, so every update in a batch is
+    taken at the pre-batch weights."""
     for lo in range(0, len(centers), config.batch_pairs):
         c = centers[lo : lo + config.batch_pairs]
         o = contexts[lo : lo + config.batch_pairs]
@@ -116,9 +112,22 @@ def _sgd_pass(w_in, w_out, centers, contexts, cdf, config: SgnsConfig,
         l2 = w_out[targets]  # (B, 1+k, D)
         scores = np.einsum("bd,bkd->bk", l1, l2)
         g = (labels - sigmoid(scores)) * live * lr
-        np.add.at(w_out, targets, g[:, :, None] * l1[:, None, :])
-        np.add.at(w_in, c, np.einsum("bk,bkd->bd", g, l2))
+        _scatter_add(w_out, targets, g, l1)
+        _scatter_add(w_in, c[:, None], np.ones((b, 1)), np.einsum("bk,bkd->bd", g, l2))
     return seen
+
+
+def _scatter_add(w, rows, weights, x) -> None:
+    """w[rows[b, k]] += weights[b, k] * x[b] for every (b, k), a row's repeats
+    summed before the add, as one sparse (touched rows, B) @ (B, D) product.
+    Only the rows the batch touches are read and written."""
+    touched = np.zeros(len(w), dtype=bool)
+    touched[rows] = True
+    slot = np.cumsum(touched) - 1
+    b, k = rows.shape
+    scatter = csr_matrix((weights.ravel(), slot[rows].ravel(), np.arange(0, b * k + 1, k)),
+                         shape=(b, slot[-1] + 1)).T
+    w[touched] += scatter @ x
 
 
 def train_sgns(corpus: Corpus, config: SgnsConfig = SgnsConfig()) -> EmbeddingSet:

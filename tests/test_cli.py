@@ -192,6 +192,7 @@ class TestExitCodes:
         ("experiment", "grid", "unigram, lstm:1.5"),
         ("generation", "temperature", "nan"),
         ("generation", "max_note_length", "0"),
+        ("embeddings", "train_min_count", "0"),
     ])
     def test_experiment_bad_value_checked_before_any_stage(self, workdir, capsys,
                                                             section, key, value):

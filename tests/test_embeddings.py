@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import expit as sigmoid
 
 from synthnotes.corpus import Corpus, Note
 from synthnotes.embeddings import (
@@ -11,13 +12,24 @@ from synthnotes.embeddings import (
     extract_window_pairs,
     read_benchmark,
     read_embeddings,
-    sgns_pair_loss,
     train_sgns,
     write_benchmark,
     write_embeddings,
     _noise_cdf,
     _sgd_pass,
 )
+
+
+def sgns_pair_loss(center: np.ndarray, context: np.ndarray, negatives: np.ndarray):
+    """Loss and gradients of one (center, context, negatives) triple:
+    -log s(c.o) - sum_n log s(-c.n). Returns (loss, d_center, d_context, d_negatives)."""
+    pos = float(sigmoid(center @ context))
+    negs = sigmoid(negatives @ center)
+    loss = -np.log(pos) - float(np.sum(np.log(1.0 - negs)))
+    d_center = (pos - 1.0) * context + negs @ negatives
+    d_context = (pos - 1.0) * center
+    d_negatives = negs[:, None] * center[None, :]
+    return loss, d_center, d_context, d_negatives
 
 
 def emb_from(vectors: dict) -> EmbeddingSet:
@@ -104,6 +116,56 @@ class TestWindowsAndLoss:
                 want_out[row] -= lr * grad
         np.testing.assert_allclose(new_in, want_in, rtol=0, atol=1e-12)
         np.testing.assert_allclose(new_out, want_out, rtol=0, atol=1e-12)
+
+    def test_sgd_pass_collided_repeated_and_untouched_rows(self):
+        """Collided negatives are skipped, a negative drawn twice by one pair
+        moves its row twice, and rows no pair touches keep their bits."""
+        rng = np.random.default_rng(4)
+        w_in = rng.standard_normal((8, 5)) * 0.5
+        w_out = rng.standard_normal((8, 5)) * 0.5
+        centers = np.array([0, 2, 0, 4, 2])
+        contexts = np.array([1, 3, 1, 5, 3])
+        # all noise mass sits on the context words 1, 3 and 5: four negatives
+        # from three words repeat one, and a draw of the pair's context collides
+        noise = np.array([0.0, 2.0, 0.0, 1.0, 0.0, 1.0, 0.0, 0.0])
+        cdf = np.cumsum(noise / noise.sum())
+        config = SgnsConfig(dim=5, negatives=4, initial_lr=0.3)
+        new_in, new_out = w_in.copy(), w_out.copy()
+        _sgd_pass(new_in, new_out, centers, contexts, cdf, config,
+                  np.random.default_rng(6), seen=0, total_visits=100)
+
+        negs = np.searchsorted(cdf, np.random.default_rng(6).random((len(centers), 4)),
+                               side="right")
+        assert (negs == contexts[:, None]).any()
+        assert all(len(set(row)) < len(row) for row in negs)
+        lr = config.initial_lr
+        want_in, want_out = w_in.copy(), w_out.copy()
+        for c, o, n in zip(centers, contexts, negs):
+            n = n[n != o]
+            _, d_center, d_context, d_negs = sgns_pair_loss(w_in[c], w_out[o], w_out[n])
+            want_in[c] -= lr * d_center
+            want_out[o] -= lr * d_context
+            for row, grad in zip(n, d_negs):
+                want_out[row] -= lr * grad
+        np.testing.assert_allclose(new_in, want_in, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(new_out, want_out, rtol=0, atol=1e-12)
+        untouched_in = [1, 3, 5, 6, 7]
+        untouched_out = [0, 2, 4, 6, 7]
+        assert not np.isin(untouched_out, negs).any()
+        assert np.array_equal(new_in[untouched_in], w_in[untouched_in])
+        assert np.array_equal(new_out[untouched_out], w_out[untouched_out])
+
+
+class TestConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("batch_pairs", 0), ("batch_pairs", -3), ("min_count", 0),
+        ("min_lr", 0.0), ("min_lr", 0.5), ("min_lr", float("nan")),
+        ("initial_lr", float("nan")), ("initial_lr", float("inf")),
+        ("noise_power", float("inf")), ("noise_power", float("nan")), ("noise_power", -0.5),
+    ])
+    def test_bad_value_rejected(self, field, value):
+        with pytest.raises(ValueError):
+            SgnsConfig(**{field: value})
 
 
 class TestCosine:
