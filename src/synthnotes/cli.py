@@ -50,8 +50,6 @@ from .utility import (
     train_truecaser,
 )
 
-log = logging.getLogger("synthnotes")
-
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_STAGE = 2
@@ -160,8 +158,6 @@ def cmd_train_lm(args) -> int:
     train = corpus_mod.read_corpus(args.train, "train")
     vocab = corpus_mod.read_vocab(args.vocab)
     model = _trainer(args, vocab)(train)
-    for entry in getattr(model, "history", ()):
-        log.info("epoch %(epoch)d: train ppl %(train_ppl).3f valid ppl %(valid_ppl).3f lr %(lr).4g", entry)
     modelio.save_model(model, args.out)
     print(f"saved {args.kind} model to {args.out}")
     return EXIT_OK

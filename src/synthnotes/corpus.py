@@ -121,13 +121,6 @@ class Vocabulary:
     def __contains__(self, token: str) -> bool:
         return token in self._ids
 
-    def id(self, token: str) -> int:
-        """Strict lookup; raises KeyError for out-of-vocabulary tokens."""
-        return self._ids[token]
-
-    def token(self, token_id: int) -> str:
-        return self.tokens[token_id]
-
 
 def _tokenize_chunk(chunk: str) -> list[str]:
     """Split a whitespace-free chunk, peeling edge punctuation into tokens."""
@@ -317,10 +310,13 @@ def note_text(note: Note) -> str:
     return "\n".join(" ".join(sent) for sent in note.sentences)
 
 
+def corpus_text(corpus: Corpus) -> str:
+    """The canonical format: one sentence per line, blank line between notes."""
+    return "\n\n".join(note_text(note) for note in corpus.notes) + "\n"
+
+
 def write_corpus(corpus: Corpus, path: str | Path) -> None:
-    """Write the canonical format: one sentence per line, blank line between notes."""
-    text = "\n\n".join(note_text(note) for note in corpus.notes)
-    Path(path).write_text(text + "\n", encoding="utf-8")
+    Path(path).write_text(corpus_text(corpus), encoding="utf-8")
 
 
 def read_corpus(path: str | Path, role: str = "train", id_prefix: str = "note") -> Corpus:

@@ -262,9 +262,11 @@ def make_trainer(kind: str, vocab, valid=None, lstm_config: LstmLmConfig | None 
     return LstmTrainer(vocab, valid, lstm_config)
 
 
-def _content_name(directory: Path, stem: str, suffix: str, blob: bytes) -> Path:
-    digest = hashlib.sha256(blob).hexdigest()[:12]
-    return directory / f"{stem}-{digest}{suffix}"
+def _write_artifact(directory: Path, stem: str, suffix: str, blob: bytes) -> str:
+    """Write `blob` under a name holding its content digest; return the name."""
+    path = directory / f"{stem}-{hashlib.sha256(blob).hexdigest()[:12]}{suffix}"
+    path.write_bytes(blob)
+    return path.name
 
 
 def _cell_label(kind: str, dropout: float | None) -> str:
@@ -357,9 +359,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         trainer = make_trainer(kind, vocab, valid_u, lstm_cfg)
 
         model = _run_stage(f"train-lm:{label}", trainer, train_u)
-        blob = modelio.model_bytes(model)
-        model_path = _content_name(outdir / "models", label, ".ptlm", blob)
-        model_path.write_bytes(blob)
+        model_name = _write_artifact(outdir / "models", label, ".ptlm",
+                                     modelio.model_bytes(model))
 
         ppl = _run_stage(f"perplexity:{label}", lm.perplexity, model, valid_u)
 
@@ -369,10 +370,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             seed=derive_seed(config.seed, f"generate:{label}"),
             max_note_length=config.gen_max_note_length)
         synth = _run_stage(f"generate:{label}", generate_corpus, model, gen_cfg)
-        synth_blob = "\n\n".join(corpus_mod.note_text(n) for n in synth.notes) + "\n"
-        synth_path = _content_name(outdir / "synthetic", label, ".txt",
-                                   synth_blob.encode())
-        synth_path.write_text(synth_blob, encoding="utf-8")
+        synth_name = _write_artifact(outdir / "synthetic", label, ".txt",
+                                     corpus_mod.corpus_text(synth).encode())
 
         privacy_cfg = privacy_mod.PrivacyConfig(
             trainer=trainer, sample_size=config.privacy_sample_size,
@@ -380,19 +379,15 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             jobs=config.jobs, trainer_label=label)
         privacy_report = _run_stage(f"privacy:{label}", privacy_mod.s_pdtp_score,
                                     train_u, privacy_cfg, model)
-        priv_blob = json.dumps(privacy_report.as_dict(), indent=2, sort_keys=True) + "\n"
-        priv_path = _content_name(outdir / "privacy", label, ".json", priv_blob.encode())
-        priv_path.write_text(priv_blob, encoding="utf-8")
+        privacy_name = _write_artifact(outdir / "privacy", label, ".json",
+                                       privacy_mod.privacy_report_text(privacy_report).encode())
 
         sim, rel, nli_acc, case_f1 = utility_columns(synth, label)
         rows.append(ReportRow(model=kind, dropout=dropout, perplexity=ppl,
                               privacy=privacy_report.aggregate, similarity=sim,
                               relatedness=rel, nli=nli_acc, case=case_f1))
-        artifacts[label] = {
-            "model": model_path.name,
-            "synthetic": synth_path.name,
-            "privacy": priv_path.name,
-        }
+        artifacts[label] = {"model": model_name, "synthetic": synth_name,
+                            "privacy": privacy_name}
         log.info("cell %s done: ppl %.3f privacy %.4f", label, ppl, privacy_report.aggregate)
 
     report = ExperimentReport(rows=tuple(rows), stats=stats.as_dict(),

@@ -51,9 +51,6 @@ class LanguageModel:
     def vocab_size(self) -> int:
         return len(self.tokens)
 
-    def token_id(self, token: str) -> int:
-        return self._ids[token]
-
     def start_state(self, n: int):
         return None
 
@@ -65,8 +62,14 @@ class LanguageModel:
     def sequence_log_probs(self, ids) -> np.ndarray:
         """Per-position log p(w_i | w_1..i-1) with the context restricted to
         the given sequence (fresh state at position 0); ids outside the
-        token space raise ValueError."""
-        raise NotImplementedError
+        token space raise ValueError.
+
+        One step over all positions, each its own stream fed the previous
+        token, which holds for any model without a recurrent state."""
+        ids = self._checked_ids(ids)
+        start = -1 if self.eon_id is None else self.eon_id  # -1: an unseen context
+        probs, _ = self.step(np.concatenate(([start], ids))[:-1], self.start_state(len(ids)))
+        return np.log(probs[np.arange(len(ids)), ids])
 
     def _checked_ids(self, ids) -> np.ndarray:
         arr = np.asarray(ids, dtype=np.int64)
@@ -99,99 +102,66 @@ class LanguageModel:
 class UniformModel(LanguageModel):
     """Data-independent uniform distribution; the trivial zero-leakage model."""
 
-    def train(self, corpus: Corpus) -> "UniformModel":
-        return self
-
     def step(self, ids, state=None):
         return np.full((len(ids), self.vocab_size), 1.0 / self.vocab_size), None
 
-    def sequence_log_probs(self, ids) -> np.ndarray:
-        return np.full(len(self._checked_ids(ids)), -math.log(self.vocab_size))
-
 
 class UnigramModel(LanguageModel):
-    """Context-independent Lidstone(+1) unigram model:
+    """Context-independent Lidstone(+1) unigram model over token `counts`:
     p(u) = (count(u) + 1) / (N + |V|)."""
 
-    def __init__(self, vocab):
+    def __init__(self, vocab, counts):
         super().__init__(vocab)
-        self.counts = np.zeros(self.vocab_size, dtype=np.int64)
-        self.total = 0
-        self._log_probs = self._smoothed_log_probs()
-
-    def _smoothed_log_probs(self) -> np.ndarray:
-        return np.log((self.counts + 1.0) / (self.total + self.vocab_size))
-
-    def train(self, corpus: Corpus) -> "UnigramModel":
-        counts = np.zeros(self.vocab_size, dtype=np.int64)
-        stream = self.corpus_stream(corpus)
-        for i in stream:
-            counts[i] += 1
-        self.counts = counts
-        self.total = len(stream)
-        self._log_probs = self._smoothed_log_probs()
-        return self
-
-    def sequence_log_probs(self, ids) -> np.ndarray:
-        return self._log_probs[self._checked_ids(ids)]
+        self.counts = np.asarray(counts, dtype=np.int64)
+        self.total = int(self.counts.sum())
+        self.probs = (self.counts + 1.0) / (self.total + self.vocab_size)
 
     def step(self, ids, state=None):
-        return np.broadcast_to(np.exp(self._log_probs), (len(ids), self.vocab_size)), None
+        return np.broadcast_to(self.probs, (len(ids), self.vocab_size)), None
 
 
 class BigramModel(LanguageModel):
-    """Add-1 conditional bigram, p(v|u) = (count(u,v)+1) / (count(u,.)+|V|).
+    """Add-1 conditional bigram, p(v|u) = (count(u,v)+1) / (count(u,.)+|V|),
+    over `rows`: context id -> {next id: count}.
 
     A cheap mid-tier test model; unseen contexts fall back to the uniform
     add-1 distribution. The context at a note start is the end-of-note id
     when the token space has one, otherwise an unseen pseudo-context.
     """
 
-    def __init__(self, vocab):
+    def __init__(self, vocab, rows: dict[int, dict[int, int]]):
         super().__init__(vocab)
-        self._rows: dict[int, dict[int, int]] = {}
-        self._row_totals: dict[int, int] = {}
-
-    def train(self, corpus: Corpus) -> "BigramModel":
-        rows: dict[int, dict[int, int]] = {}
-        totals: dict[int, int] = {}
-        for note in corpus:
-            ids = self.note_stream(note)
-            prev = self.eon_id
-            for cur in ids:
-                if prev is not None:
-                    row = rows.setdefault(prev, {})
-                    row[cur] = row.get(cur, 0) + 1
-                    totals[prev] = totals.get(prev, 0) + 1
-                prev = cur
-        self._rows = rows
-        self._row_totals = totals
-        return self
+        self.rows = rows
+        self._row_totals = {ctx: sum(row.values()) for ctx, row in rows.items()}
 
     def step(self, ids, state=None):
         dists = np.ones((len(ids), self.vocab_size))
         for r, token_id in enumerate(ids.tolist()):
-            for tok, c in self._rows.get(token_id, {}).items():
-                dists[r, tok] += c
+            row = self.rows.get(token_id, {})
+            dists[r, list(row)] += list(row.values())
             dists[r] /= self._row_totals.get(token_id, 0) + self.vocab_size
         return dists, None
 
-    def sequence_log_probs(self, ids) -> np.ndarray:
-        probs = np.empty(len(ids))
-        prev = self.eon_id
-        for i, tok in enumerate(self._checked_ids(ids).tolist()):
-            count = self._rows.get(prev, {}).get(tok, 0)
-            probs[i] = (1 + count) / (self._row_totals.get(prev, 0) + self.vocab_size)
-            prev = tok
-        return np.log(probs)
-
 
 def train_unigram(corpus: Corpus, vocab) -> UnigramModel:
-    return UnigramModel(vocab).train(corpus)
+    """Token counts over the corpus training stream."""
+    encoder = LanguageModel(vocab)
+    stream = np.asarray(encoder.corpus_stream(corpus), dtype=np.int64)
+    return UnigramModel(vocab, np.bincount(stream, minlength=encoder.vocab_size))
 
 
 def train_bigram(corpus: Corpus, vocab) -> BigramModel:
-    return BigramModel(vocab).train(corpus)
+    """Successor counts within each note's stream, from its start context."""
+    encoder = LanguageModel(vocab)
+    rows: dict[int, dict[int, int]] = {}
+    for note in corpus:
+        prev = encoder.eon_id
+        for cur in encoder.note_stream(note):
+            if prev is not None:
+                row = rows.setdefault(prev, {})
+                row[cur] = row.get(cur, 0) + 1
+            prev = cur
+    return BigramModel(vocab, rows)
 
 
 def perplexity(model: LanguageModel, corpus: Corpus) -> float:

@@ -29,7 +29,7 @@ import numpy as np
 
 from .lm import BigramModel, LanguageModel, UnigramModel
 from .neural import LstmLmConfig, LstmLmModel
-from .neural.core import LayerParams, StackParams
+from .neural.core import StackParams
 
 MAGIC = b"PTLM"
 FORMAT_VERSION = 1
@@ -91,7 +91,7 @@ def model_bytes(model: LanguageModel) -> bytes:
     elif isinstance(model, BigramModel):
         parts.append(_pack_str("bigram", "B"))
         parts.append(_vocab_block(model.tokens))
-        rows = sorted(model._rows.items())
+        rows = sorted(model.rows.items())
         parts.append(struct.pack("<Q", len(rows)))
         for ctx, row in rows:
             entries = sorted(row.items())
@@ -127,17 +127,6 @@ def _read_tensors(r: _Reader, dtype) -> list[tuple[str, np.ndarray]]:
     return tensors
 
 
-def _stack_from_tensors(tensors: list[tuple[str, np.ndarray]], tied: bool) -> StackParams:
-    by_name = dict(tensors)
-    layers = []
-    i = 0
-    while f"l{i}.wx" in by_name:
-        layers.append(LayerParams(by_name[f"l{i}.wx"], by_name[f"l{i}.wh"], by_name[f"l{i}.b"]))
-        i += 1
-    return StackParams(by_name["emb"], layers,
-                       None if tied else by_name["out_w"], by_name["out_b"])
-
-
 def load_model(path: str | Path) -> LanguageModel:
     r = _Reader(Path(path).read_bytes())
     if r.take(4) != MAGIC:
@@ -150,31 +139,17 @@ def load_model(path: str | Path) -> LanguageModel:
     tokens = tuple(r.string() for _ in range(n_tokens))
 
     if kind == "unigram":
-        model = UnigramModel(tokens)
-        counts = np.frombuffer(r.take(n_tokens * 8), dtype="<u8").astype(np.int64)
-        model.counts = counts
-        model.total = int(counts.sum())
-        model._log_probs = model._smoothed_log_probs()
-        return model
+        return UnigramModel(tokens, np.frombuffer(r.take(n_tokens * 8), dtype="<u8"))
     if kind == "bigram":
-        model = BigramModel(tokens)
-        n_rows = r.unpack("Q")
-        rows: dict[int, dict[int, int]] = {}
-        totals: dict[int, int] = {}
-        for _ in range(n_rows):
+        rows = {}
+        for _ in range(r.unpack("Q")):
             ctx, n_entries = r.unpack("QQ")
-            row = {}
-            for _ in range(n_entries):
-                tok, count = r.unpack("QQ")
-                row[int(tok)] = int(count)
-            rows[int(ctx)] = row
-            totals[int(ctx)] = sum(row.values())
-        model._rows = rows
-        model._row_totals = totals
-        return model
+            rows[ctx] = dict(r.unpack("QQ") for _ in range(n_entries))
+        return BigramModel(tokens, rows)
     if kind == "lstm-lm":
         config = LstmLmConfig(**json.loads(r.string("I")))
-        params = _stack_from_tensors(_read_tensors(r, config.np_dtype),
-                                     config.tied_embeddings)
+        params = StackParams.from_named_arrays(_read_tensors(r, config.np_dtype))
+        if params.tied != config.tied_embeddings:
+            raise ModelFormatError(f"{path}: output tensor does not match the config")
         return LstmLmModel(tokens, config, params)
     raise ModelFormatError(f"{path}: unknown model kind {kind!r}")

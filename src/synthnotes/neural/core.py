@@ -83,6 +83,16 @@ class StackParams:
         pairs.append(("out_b", self.out_b))
         return pairs
 
+    @classmethod
+    def from_named_arrays(cls, pairs) -> "StackParams":
+        """The inverse of named_arrays; a missing out_w means a tied head."""
+        arrays = dict(pairs)
+        layers = []
+        while f"l{len(layers)}.wx" in arrays:
+            prefix = f"l{len(layers)}."
+            layers.append(LayerParams(*(arrays[prefix + n] for n in ("wx", "wh", "b"))))
+        return cls(arrays["emb"], layers, arrays.get("out_w"), arrays["out_b"])
+
     def copy(self) -> "StackParams":
         return StackParams(
             self.emb.copy(),

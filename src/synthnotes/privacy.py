@@ -225,6 +225,9 @@ def analyze_report(report: PrivacyReport) -> PrivacyAnalysis:
     )
 
 
+def privacy_report_text(report: PrivacyReport) -> str:
+    return json.dumps(report.as_dict(), indent=2, sort_keys=True) + "\n"
+
+
 def write_privacy_report(report: PrivacyReport, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(report.as_dict(), indent=2, sort_keys=True) + "\n",
-                          encoding="utf-8")
+    Path(path).write_text(privacy_report_text(report), encoding="utf-8")

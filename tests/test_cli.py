@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 
 import pytest
@@ -65,6 +66,18 @@ class TestPipeline:
         synth = corpus_mod.read_corpus("synth.txt")
         assert synth.word_count >= 300
         assert all(tok in vocab.tokens for note in synth for tok in note.tokens)
+
+    def test_train_lm_logs_each_epoch_once(self, workdir, caplog):
+        run("template", "--seed", "1", "--notes", "40", "--outdir", "t")
+        run("preprocess", "--input", "t/notes.txt", "--outdir", "c",
+            "--seed", "2", "--min-count", "2")
+        caplog.set_level(logging.INFO)
+        assert run("-v", "train-lm", "--kind", "lstm", "--train", "c/train.txt",
+                   "--valid", "c/valid.txt", "--vocab", "c/vocab.tsv", "--out", "m.ptlm",
+                   "--hidden", "6", "--layers", "1", "--epochs", "2", "--bptt", "12",
+                   "--batch-size", "3") == EXIT_OK
+        epochs = [r.getMessage() for r in caplog.records if r.getMessage().startswith("epoch ")]
+        assert [m.split(":")[0] for m in epochs] == ["epoch 1", "epoch 2"]
 
     def test_lstm_flags_train_and_privacy(self, workdir, capsys):
         run("template", "--seed", "1", "--notes", "40", "--outdir", "t")

@@ -4,14 +4,7 @@ import numpy as np
 import pytest
 
 from synthnotes.corpus import Corpus, EON_TOKEN, Note, UNK_TOKEN
-from synthnotes.lm import (
-    BigramModel,
-    UniformModel,
-    UnigramModel,
-    perplexity,
-    train_bigram,
-    train_unigram,
-)
+from synthnotes.lm import UniformModel, perplexity, train_bigram, train_unigram
 from synthnotes.neural import LstmLmConfig, train_lstm_lm
 
 
@@ -98,8 +91,8 @@ def lstm_model(vocab):
 class TestContract:
     @pytest.mark.parametrize("factory", [
         lambda v: UniformModel(v),
-        lambda v: UnigramModel(v).train(corpus_of(["a", "b", "b", "c"])),
-        lambda v: BigramModel(v).train(corpus_of(["a", "b", "b", "c"], ["c", "a"])),
+        lambda v: train_unigram(corpus_of(["a", "b", "b", "c"]), v),
+        lambda v: train_bigram(corpus_of(["a", "b", "b", "c"], ["c", "a"]), v),
         lstm_model,
     ])
     def test_normalization_and_positivity(self, factory):
@@ -129,8 +122,8 @@ class TestContract:
 
     @pytest.mark.parametrize("factory", [
         lambda v: UniformModel(v),
-        lambda v: UnigramModel(v).train(corpus_of(["a", "b", "b", "c"])),
-        lambda v: BigramModel(v).train(corpus_of(["a", "b", "b", "c"], ["c", "a"])),
+        lambda v: train_unigram(corpus_of(["a", "b", "b", "c"]), v),
+        lambda v: train_bigram(corpus_of(["a", "b", "b", "c"], ["c", "a"]), v),
     ])
     def test_batched_rows_equal_lone_steps_exactly(self, factory):
         model = factory((EON_TOKEN, "a", "b", "c"))

@@ -1,8 +1,11 @@
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 
 from synthnotes.corpus import Corpus, EON_TOKEN, Note, UNK_TOKEN, Vocabulary
-from synthnotes.lm import perplexity, train_bigram, train_unigram
+from synthnotes.lm import UniformModel, perplexity, train_bigram, train_unigram
 from synthnotes.modelio import MAGIC, ModelFormatError, load_model, model_bytes, save_model
 from synthnotes.neural import LstmLmConfig, train_lstm_lm
 
@@ -67,10 +70,34 @@ class TestRoundtrip:
             assert np.array_equal(arr, orig), name
         assert perplexity(back, corpus) == perplexity(model, corpus)
 
+    @pytest.mark.parametrize("trainer, digest", [
+        (train_unigram, "fc7a9cc432a7b9d8806b9b99ad6259f6abf74e11635008f5c2855f82868016ae"),
+        (train_bigram, "44484acb05c9b6cbe52116debbc86776c336e42f674de675a813467114db903f"),
+    ], ids=["unigram", "bigram"])
+    def test_count_model_bytes_are_pinned(self, trainer, digest):
+        model = trainer(fixture_corpus(), fixture_vocab())
+        assert hashlib.sha256(model_bytes(model)).hexdigest() == digest
+
     def test_bytes_are_stable(self):
         model = train_unigram(fixture_corpus(), fixture_vocab())
         assert model_bytes(model) == model_bytes(model)
         assert model_bytes(model)[:4] == MAGIC
+
+
+@pytest.mark.parametrize("factory", [
+    UniformModel,
+    lambda v: train_unigram(fixture_corpus(), v),
+    lambda v: train_bigram(fixture_corpus(), v),
+], ids=["uniform", "unigram", "bigram"])
+def test_count_models_score_the_log_of_their_step_rows(factory):
+    """Scoring equals, bit for bit, the log of the step rows walked along
+    [eon] + ids."""
+    model = factory(fixture_vocab())
+    ids = [2, 3, 2, 5, 4, 5, 0]
+    walked = []
+    for prev, tok in zip([model.eon_id] + ids, ids):
+        walked.append(np.log(model.step(np.array([prev]), None)[0][0, tok]))
+    np.testing.assert_allclose(model.sequence_log_probs(ids), walked, rtol=0, atol=0)
 
 
 class TestValidation:
@@ -94,5 +121,15 @@ class TestValidation:
         blob[4] = 99
         path = tmp_path / "v99.ptlm"
         path.write_bytes(bytes(blob))
+        with pytest.raises(ModelFormatError):
+            load_model(path)
+
+    def test_head_not_matching_config_rejected(self, tmp_path):
+        config = LstmLmConfig(hidden_size=8, layers=1, epochs=1, seed=1, initial_lr=1.0,
+                              batch_size=2, bptt=5)
+        model = train_lstm_lm(fixture_corpus(), fixture_corpus(), fixture_vocab(), config)
+        model.config = dataclasses.replace(config, tied_embeddings=False)  # no out_w tensor
+        path = tmp_path / "m.ptlm"
+        save_model(model, path)
         with pytest.raises(ModelFormatError):
             load_model(path)
