@@ -240,8 +240,7 @@ def cmd_experiment(args) -> int:
     config = read_experiment_config(args.config)
     if args.jobs is not None:
         config = dataclasses.replace(config, jobs=args.jobs)
-    if "SYNTHNOTES_OUTDIR" in os.environ:
-        config = dataclasses.replace(config, output_dir=os.environ["SYNTHNOTES_OUTDIR"])
+    config = dataclasses.replace(config, output_dir=str(_outdir(config.output_dir)))
     report = run_experiment(config)
     print(report.render())
     print(f"report written to {Path(config.output_dir) / 'report.json'}")

@@ -195,9 +195,6 @@ class ReportRow:
     nli: float | None
     case: float | None
 
-    def as_dict(self) -> dict:
-        return dict(self.__dict__)
-
 
 @dataclass(frozen=True)
 class ExperimentReport:
@@ -207,13 +204,7 @@ class ExperimentReport:
     artifacts: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        return {
-            "tool_version": __version__,
-            "config": self.config,
-            "stats": self.stats,
-            "rows": [r.as_dict() for r in self.rows],
-            "artifacts": self.artifacts,
-        }
+        return {"tool_version": __version__, **asdict(self)}
 
     def render(self) -> str:
         def fmt(v, spec=".3f"):
@@ -231,8 +222,7 @@ class ExperimentReport:
 
 
 def write_report(report: ExperimentReport, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(report.as_dict(), indent=2, sort_keys=True) + "\n",
-                          encoding="utf-8")
+    Path(path).write_text(privacy_mod.json_text(report.as_dict()), encoding="utf-8")
 
 
 def read_report(path: str | Path) -> dict:
@@ -328,7 +318,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                              ValueError("utility training source does not match cell"))
         emb = _run_stage(f"embeddings:{label}", train_sgns, source, replace(
             config.sgns, seed=derive_seed(config.seed, f"embeddings:{label}")))
-        emb = replace(emb, config={**emb.config, "source": label})
         counts = source.token_counts()
         sim = rel = None
         if bench_sim is not None:

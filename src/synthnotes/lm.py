@@ -32,14 +32,15 @@ class LanguageModel:
       (``None`` for models without a recurrent state);
     - :meth:`step` -- consume ``ids`` (n,), one token per stream, and return
       the (n, V) next-token distributions and the new state; sampling walks it;
-    - :meth:`sequence_log_probs` -- per-position ``log p(w_i | w_1..i-1)``
-      for one note, scored from a fresh note start; perplexity and the
-      privacy audit use this.
+    - :meth:`notes_log_probs` -- per-position ``log p(w_i | w_1..i-1)`` in
+      float64 for each note of a list, each scored from a fresh note start;
+      perplexity and the privacy audit use this.
 
     A note starts from the end-of-note id (an unseen context when the token
     space lacks it), and a stream fed that id starts a fresh note. So scoring
     ``ids`` equals the log of the :meth:`step` rows walked along
-    ``[eon_id] + ids``, and each row of a step equals its stream stepped alone.
+    ``[eon_id] + ids``, each row of a step equals its stream stepped alone,
+    and each note of a list scores as it does alone.
     """
 
     def __init__(self, vocab):
@@ -59,17 +60,21 @@ class LanguageModel:
         distributions (n, V) and the new state."""
         raise NotImplementedError
 
-    def sequence_log_probs(self, ids) -> np.ndarray:
-        """Per-position log p(w_i | w_1..i-1) with the context restricted to
-        the given sequence (fresh state at position 0); ids outside the
-        token space raise ValueError.
-
-        One step over all positions, each its own stream fed the previous
-        token, which holds for any model without a recurrent state."""
-        ids = self._checked_ids(ids)
+    def notes_log_probs(self, notes_ids) -> list[np.ndarray]:
+        """Per-position log p(w_i | w_1..i-1) of each note from a fresh state;
+        ids outside the token space raise ValueError. Here each note is one
+        step whose streams are fed the previous token, which holds for any
+        model without a recurrent state."""
         start = -1 if self.eon_id is None else self.eon_id  # -1: an unseen context
-        probs, _ = self.step(np.concatenate(([start], ids))[:-1], self.start_state(len(ids)))
-        return np.log(probs[np.arange(len(ids)), ids])
+        out = []
+        for ids in map(self._checked_ids, notes_ids):
+            probs, _ = self.step(np.concatenate(([start], ids))[:-1], self.start_state(len(ids)))
+            out.append(np.log(probs[np.arange(len(ids)), ids]))
+        return out
+
+    def sequence_log_probs(self, ids) -> np.ndarray:
+        """:meth:`notes_log_probs` of the one note `ids`."""
+        return self.notes_log_probs([ids])[0]
 
     def _checked_ids(self, ids) -> np.ndarray:
         arr = np.asarray(ids, dtype=np.int64)
@@ -129,18 +134,22 @@ class BigramModel(LanguageModel):
     when the token space has one, otherwise an unseen pseudo-context.
     """
 
+    _UNSEEN = (np.zeros(0, dtype=np.int64), np.zeros(0))  # a context with no successors
+
     def __init__(self, vocab, rows: dict[int, dict[int, int]]):
         super().__init__(vocab)
         self.rows = rows
-        self._row_totals = {ctx: sum(row.values()) for ctx, row in rows.items()}
+        self._successors = {ctx: (np.fromiter(row, np.int64), np.fromiter(row.values(), np.float64))
+                            for ctx, row in rows.items()}
 
     def step(self, ids, state=None):
+        # one leading empty pair keeps the concatenations defined at zero streams
+        found = [self._UNSEEN] + [self._successors.get(i, self._UNSEEN) for i in ids.tolist()]
+        succ, counts = (np.concatenate(parts) for parts in zip(*found))
         dists = np.ones((len(ids), self.vocab_size))
-        for r, token_id in enumerate(ids.tolist()):
-            row = self.rows.get(token_id, {})
-            dists[r, list(row)] += list(row.values())
-            dists[r] /= self._row_totals.get(token_id, 0) + self.vocab_size
-        return dists, None
+        dists[np.repeat(np.arange(len(ids)), [len(s) for s, _ in found[1:]]), succ] += counts
+        # integer-valued rows, so each sum is exactly count(u,.) + |V|
+        return dists / dists.sum(axis=1, keepdims=True), None
 
 
 def train_unigram(corpus: Corpus, vocab) -> UnigramModel:
@@ -168,15 +177,13 @@ def perplexity(model: LanguageModel, corpus: Corpus) -> float:
     """exp of mean negative log-likelihood per token, scoring each note with
     a fresh context (no state crosses note boundaries). End-of-note stream
     positions are not scored; only the notes' own tokens count."""
+    notes_ids = [model.encode_note(note) for note in corpus]
     total_lp = 0.0
-    n = 0
-    for note in corpus:
-        ids = model.encode_note(note)
-        lps = model.sequence_log_probs(ids)
+    for note, lps in zip(corpus, model.notes_log_probs(notes_ids)):
         if not np.all(np.isfinite(lps)):
             raise ValueError(f"non-finite log-probability scoring note {note.id!r}")
         total_lp += float(np.sum(lps))
-        n += len(ids)
+    n = sum(len(ids) for ids in notes_ids)
     if n == 0:
         raise ValueError("cannot compute perplexity of an empty corpus")
     return math.exp(-total_lp / n)

@@ -79,12 +79,9 @@ class LstmLmModel(LanguageModel):
         # a note boundary gives its stream a fresh context, as in training
         return core.lstm_step(self.params, ids, state, ids == self.eon_id)
 
-    def sequence_log_probs(self, ids) -> np.ndarray:
-        ids = self._checked_ids(ids)
-        if len(ids) == 0:
-            return np.zeros(0)
-        total, _, per_token = batched_note_nll(self.params, [ids.tolist()], self.eon_id)
-        return per_token[0]
+    def notes_log_probs(self, notes_ids) -> list[np.ndarray]:
+        checked = [self._checked_ids(ids).tolist() for ids in notes_ids]
+        return batched_note_nll(self.params, checked, self.eon_id)[2]
 
 
 def batchify(stream: list[int], batch_size: int) -> np.ndarray:
@@ -103,29 +100,27 @@ def bptt_chunks(data: np.ndarray, bptt: int):
         yield data[start : start + steps], data[start + 1 : start + 1 + steps]
 
 
-def batched_note_nll(params: core.StackParams, notes_ids: list[list[int]], eon_id: int,
-                     batch: int = 64):
+NOTE_BATCH = 64  # notes per padded forward pass
+
+
+def batched_note_nll(params: core.StackParams, notes_ids: list[list[int]], eon_id: int):
     """Per-note NLL with state reset at every note start.
 
     The recurrence is seeded by the end-of-note token from a zero state, so
     position i is conditioned on exactly the note's own first i-1 tokens.
-    Returns (total nll, token count, per-note log-prob arrays).
+    Returns (total nll, token count, per-note float64 log-prob arrays); the
+    total sums the notes in order in float64, as `lm.perplexity` does.
     """
-    total = 0.0
-    count = 0
     per_note: list[np.ndarray] = []
-    for lo in range(0, len(notes_ids), batch):
-        group = notes_ids[lo : lo + batch]
+    for lo in range(0, len(notes_ids), NOTE_BATCH):
+        group = notes_ids[lo : lo + NOTE_BATCH]
         x, _ = core.pad_columns([[eon_id, *ids[:-1]] for ids in group])
-        y, mask = core.pad_columns(group)
+        y, _ = core.pad_columns(group)
         logits, _, _ = core.stack_forward(params, x, core.zero_state(params, len(group)))
-        lsm = core.log_softmax(logits)
-        lp = np.take_along_axis(lsm, y[..., None], axis=2)[..., 0]
-        for j, ids in enumerate(group):
-            per_note.append(lp[: len(ids), j].astype(np.float64))
-        total += -float(lp[mask].sum())
-        count += int(mask.sum())
-    return total, count, per_note
+        lp = np.take_along_axis(core.log_softmax(logits), y[..., None], axis=2)[..., 0]
+        per_note.extend(lp[: len(ids), j].astype(np.float64) for j, ids in enumerate(group))
+    total = -sum(float(np.sum(lp)) for lp in per_note)
+    return total, sum(len(ids) for ids in notes_ids), per_note
 
 
 def _valid_nll(params: core.StackParams, notes_ids: list[list[int]], eon_id: int) -> float:

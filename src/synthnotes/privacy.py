@@ -13,7 +13,7 @@ from __future__ import annotations
 import concurrent.futures
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable
 
@@ -53,18 +53,6 @@ class NotePrivacyRecord:
     full_log_prob: float
     loo_log_prob: float
 
-    def as_dict(self) -> dict:
-        return {
-            "note_id": self.note_id,
-            "s_pdtp": self.s_pdtp,
-            "position": self.position,
-            "sign": self.sign,
-            "token": self.token,
-            "context": list(self.context),
-            "full_log_prob": self.full_log_prob,
-            "loo_log_prob": self.loo_log_prob,
-        }
-
 
 @dataclass(frozen=True)
 class PrivacyReport:
@@ -74,14 +62,8 @@ class PrivacyReport:
     config: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        return {
-            "tool_version": __version__,
-            "config": self.config,
-            "config_hash": _config_hash(self.config),
-            "aggregate": self.aggregate,
-            "sign_positive_fraction": self.sign_positive_fraction,
-            "records": [r.as_dict() for r in self.records],
-        }
+        return {"tool_version": __version__, "config_hash": _config_hash(self.config),
+                **asdict(self)}
 
     def render(self) -> str:
         lines = [
@@ -118,8 +100,8 @@ def s_pdtp_note(model_full: LanguageModel, model_loo: LanguageModel, note: Note)
     ids = model_full.encode_note(note)
     if not ids:
         raise ValueError(f"note {note.id!r} is empty")
-    lp_full = np.asarray(model_full.sequence_log_probs(ids), dtype=np.float64)
-    lp_loo = np.asarray(model_loo.sequence_log_probs(ids), dtype=np.float64)
+    lp_full = model_full.sequence_log_probs(ids)
+    lp_loo = model_loo.sequence_log_probs(ids)
     diff = lp_full - lp_loo
     j = int(np.argmax(np.abs(diff)))
     value = float(abs(diff[j]))
@@ -225,8 +207,13 @@ def analyze_report(report: PrivacyReport) -> PrivacyAnalysis:
     )
 
 
+def json_text(obj) -> str:
+    """The JSON format of every report artifact."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
 def privacy_report_text(report: PrivacyReport) -> str:
-    return json.dumps(report.as_dict(), indent=2, sort_keys=True) + "\n"
+    return json_text(report.as_dict())
 
 
 def write_privacy_report(report: PrivacyReport, path: str | Path) -> None:

@@ -13,6 +13,7 @@ import numpy as np
 from .corpus import Corpus
 from .embeddings import EmbeddingSet
 from .neural import CharTagger, TruecaserConfig, train_char_classifier
+from .neural.core import softmax
 
 NLI_LABELS = ("entailment", "contradiction", "neutral")
 
@@ -73,10 +74,7 @@ class NliBowClassifier:
     def _forward(self, feats: np.ndarray):
         z1 = feats @ self.w1 + self.b1
         a1 = np.tanh(z1)
-        logits = a1 @ self.w2 + self.b2
-        shifted = logits - logits.max(axis=-1, keepdims=True)
-        e = np.exp(shifted)
-        return a1, e / e.sum(axis=-1, keepdims=True)
+        return a1, softmax(a1 @ self.w2 + self.b2)
 
     def predict_proba(self, example: NliExample) -> np.ndarray:
         feats = (self.featurize(example.premise, example.hypothesis) - self.feat_mean) / self.feat_scale

@@ -124,6 +124,25 @@ class TestContract:
         lambda v: UniformModel(v),
         lambda v: train_unigram(corpus_of(["a", "b", "b", "c"]), v),
         lambda v: train_bigram(corpus_of(["a", "b", "b", "c"], ["c", "a"]), v),
+        lstm_model,
+    ])
+    def test_notes_scored_together_equal_notes_alone_exactly(self, factory):
+        """A list of notes (more than one LSTM group of 64, and an empty
+        note) scores each note as it scores alone, to the bit."""
+        model = factory((EON_TOKEN, "a", "b", "c"))
+        rng = np.random.default_rng(5)
+        notes = [rng.integers(1, 4, size=rng.integers(0, 9)).tolist() for _ in range(70)]
+        notes[3] = []
+        scored = model.notes_log_probs(notes)
+        assert len(scored) == len(notes)
+        for ids, lps in zip(notes, scored):
+            assert lps.dtype == np.float64 and lps.shape == (len(ids),)
+            assert np.array_equal(lps, model.sequence_log_probs(ids))
+
+    @pytest.mark.parametrize("factory", [
+        lambda v: UniformModel(v),
+        lambda v: train_unigram(corpus_of(["a", "b", "b", "c"]), v),
+        lambda v: train_bigram(corpus_of(["a", "b", "b", "c"], ["c", "a"]), v),
     ])
     def test_batched_rows_equal_lone_steps_exactly(self, factory):
         model = factory((EON_TOKEN, "a", "b", "c"))

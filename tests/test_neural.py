@@ -1,3 +1,4 @@
+import math
 
 import numpy as np
 import pytest
@@ -469,6 +470,22 @@ class TestTrainLstm:
         assert all(b <= a for a, b in zip(lrs, lrs[1:]))  # non-increasing
         for a, b in zip(lrs, lrs[1:]):
             assert b == a or b == pytest.approx(a / 4.0)
+
+    def test_validation_loss_is_reported_perplexity(self):
+        """Training validation and lm.perplexity are one computation: the
+        same float64 note-order sum, in float32 too."""
+        corpus, vocab = repeated_sentence_corpus()
+        rng = np.random.default_rng(8)
+        words = vocab.tokens[2:]
+        valid = Corpus(tuple(Note(f"v{i}", (tuple(rng.choice(words, size=rng.integers(1, 12))),))
+                             for i in range(70)), "valid")
+        config = LstmLmConfig(hidden_size=8, layers=2, epochs=3, seed=2, initial_lr=1.0,
+                              batch_size=2, bptt=10, dtype="float32")
+        model = train_lstm_lm(corpus, valid, vocab, config)
+        ids = [model.encode_note(note) for note in valid]
+        ppl = lm.perplexity(model, valid)
+        assert math.exp(language_model._valid_nll(model.params, ids, model.eon_id)) == ppl
+        assert min(h["valid_ppl"] for h in model.history) == ppl
 
     def test_batchify_rejects_tiny_streams(self):
         with pytest.raises(ValueError):
