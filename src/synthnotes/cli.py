@@ -139,18 +139,12 @@ def cmd_preprocess(args) -> int:
     return EXIT_OK
 
 
-def _read_splits(args):
+def cmd_stats(args) -> int:
     train = corpus_mod.read_corpus(args.train, "train")
     valid = corpus_mod.read_corpus(args.valid, "valid")
-    test = corpus_mod.read_corpus(args.test, "test") if getattr(args, "test", None) else None
-    return train, valid, test
-
-
-def cmd_stats(args) -> int:
-    train, valid, test = _read_splits(args)
+    test = corpus_mod.read_corpus(args.test, "test")
     vocab = corpus_mod.read_vocab(args.vocab)
-    stats = corpus_mod.compute_stats(train, valid, test, vocab)
-    print(stats.render())
+    print(corpus_mod.compute_stats(train, valid, test, vocab).render())
     return EXIT_OK
 
 

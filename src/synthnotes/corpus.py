@@ -12,6 +12,7 @@ from __future__ import annotations
 import collections
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
@@ -103,7 +104,7 @@ class Vocabulary:
 
     tokens: tuple[str, ...]
     counts: dict = field(default_factory=dict)
-    unk_token: str = UNK_TOKEN
+    unk_token: ClassVar[str] = UNK_TOKEN
     min_count: int = 1
     _ids: dict = field(init=False, repr=False, compare=False)
 

@@ -10,6 +10,7 @@ higher score means a higher expected leakage risk.
 
 from __future__ import annotations
 
+import collections
 import concurrent.futures
 import hashlib
 import json
@@ -84,37 +85,24 @@ def _config_hash(config: dict) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def _sign_fraction(records) -> float | None:
-    pos = sum(1 for r in records if r.sign == "positive")
-    neg = sum(1 for r in records if r.sign == "negative")
-    if pos + neg == 0:
-        return None
-    return pos / (pos + neg)
+def _sign_tally(records) -> tuple[collections.Counter, float | None]:
+    """Count the records' signs; the positive fraction excludes ties."""
+    signs = collections.Counter(r.sign for r in records)
+    decided = signs["positive"] + signs["negative"]
+    return signs, (signs["positive"] / decided if decided else None)
 
 
-def s_pdtp_note(model_full: LanguageModel, model_loo: LanguageModel, note: Note) -> NotePrivacyRecord:
-    """Score one note against a full/leave-one-out model pair sharing a
-    vocabulary; the context at each position is the note's own prefix."""
-    if model_full.tokens != model_loo.tokens:
-        raise ValueError("full and leave-one-out models must share the same vocabulary")
-    ids = model_full.encode_note(note)
-    if not ids:
-        raise ValueError(f"note {note.id!r} is empty")
-    lp_full = model_full.sequence_log_probs(ids)
-    lp_loo = model_loo.sequence_log_probs(ids)
+def s_pdtp_note(lp_full: np.ndarray, lp_loo: np.ndarray, note: Note) -> NotePrivacyRecord:
+    """One note's record from its per-position log-probs under the full and
+    the leave-one-out model; the context at each position is the note's own
+    prefix."""
     diff = lp_full - lp_loo
     j = int(np.argmax(np.abs(diff)))
-    value = float(abs(diff[j]))
-    if diff[j] > 0:
-        sign = "positive"
-    elif diff[j] < 0:
-        sign = "negative"
-    else:
-        sign = "tie"
+    sign = "positive" if diff[j] > 0 else "negative" if diff[j] < 0 else "tie"
     tokens = note.tokens
     return NotePrivacyRecord(
         note_id=note.id,
-        s_pdtp=value,
+        s_pdtp=float(abs(diff[j])),
         position=j,
         sign=sign,
         token=tokens[j],
@@ -124,18 +112,21 @@ def s_pdtp_note(model_full: LanguageModel, model_loo: LanguageModel, note: Note)
     )
 
 
-def _loo_record(trainer, corpus: Corpus, note: Note, model_full: LanguageModel) -> NotePrivacyRecord:
+def _loo_record(trainer, corpus: Corpus, note: Note, tokens, lp_full) -> NotePrivacyRecord:
+    """One fold: train without `note`, score it, compare with `lp_full`."""
     try:
         model_loo = trainer(corpus.without_note(note.id))
     except Exception as exc:
         raise RuntimeError(f"trainer failed on leave-one-out fold for note {note.id!r}") from exc
-    return s_pdtp_note(model_full, model_loo, note)
+    if model_loo.tokens != tokens:
+        raise ValueError("full and leave-one-out models must share the same vocabulary")
+    return s_pdtp_note(lp_full, model_loo.sequence_log_probs(model_loo.encode_note(note)), note)
 
 
 def s_pdtp_score(corpus: Corpus, config: PrivacyConfig,
                  model_full: LanguageModel | None = None) -> PrivacyReport:
-    """Sample notes, retrain one leave-one-out model per sampled note, and
-    aggregate per-note scores into the expected-risk estimate.
+    """Sample notes, score them under the full model in one call, retrain one
+    leave-one-out model per note, and aggregate into the expected-risk estimate.
 
     `model_full` short-circuits the full-corpus training when the caller
     already holds the (deterministic) trainer's output for this corpus.
@@ -154,20 +145,21 @@ def s_pdtp_score(corpus: Corpus, config: PrivacyConfig,
             model_full = config.trainer(corpus)
         except Exception as exc:
             raise RuntimeError("trainer failed on the full corpus") from exc
+    lp_full = model_full.notes_log_probs([model_full.encode_note(n) for n in notes])
 
+    # a fold carries its note's full-model log-probs, so the pool pickles no model
+    folds = [(config.trainer, corpus, note, model_full.tokens, lp)
+             for note, lp in zip(notes, lp_full)]
     if config.jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            futures = [pool.submit(_loo_record, config.trainer, corpus, note, model_full)
-                       for note in notes]
-            records = [f.result() for f in futures]
+            records = list(pool.map(_loo_record, *zip(*folds)))
     else:
-        records = [_loo_record(config.trainer, corpus, note, model_full) for note in notes]
+        records = [_loo_record(*fold) for fold in folds]
 
-    aggregate = float(np.mean([r.s_pdtp for r in records]))
     return PrivacyReport(
         records=tuple(records),
-        aggregate=aggregate,
-        sign_positive_fraction=_sign_fraction(records),
+        aggregate=float(np.mean([r.s_pdtp for r in records])),
+        sign_positive_fraction=_sign_tally(records)[1],
         config=config.echo(),
     )
 
@@ -197,13 +189,13 @@ class PrivacyAnalysis:
 def analyze_report(report: PrivacyReport) -> PrivacyAnalysis:
     if not report.records:
         raise ValueError("cannot analyze an empty privacy report")
-    entries = tuple(sorted(report.records, key=lambda r: (-r.s_pdtp, r.note_id)))
+    signs, fraction = _sign_tally(report.records)
     return PrivacyAnalysis(
-        sign_positive_fraction=_sign_fraction(report.records),
-        positives=sum(1 for r in report.records if r.sign == "positive"),
-        negatives=sum(1 for r in report.records if r.sign == "negative"),
-        ties=sum(1 for r in report.records if r.sign == "tie"),
-        entries=entries,
+        sign_positive_fraction=fraction,
+        positives=signs["positive"],
+        negatives=signs["negative"],
+        ties=signs["tie"],
+        entries=tuple(sorted(report.records, key=lambda r: (-r.s_pdtp, r.note_id))),
     )
 
 

@@ -4,10 +4,11 @@ import os
 
 import pytest
 
-from synthnotes import cli, corpus as corpus_mod, lm, modelio
+from synthnotes import cli, corpus as corpus_mod, experiment, lm, modelio
 from synthnotes.cli import EXIT_CONFIG, EXIT_OK, main
-from synthnotes.embeddings import SgnsConfig
-from synthnotes.utility import NliConfig, TruecaserConfig
+from synthnotes.embeddings import SgnsConfig, read_embeddings
+from synthnotes.utility import (NliConfig, TruecaserConfig, evaluate_nli,
+                                read_nli_jsonl, train_nli_bow)
 
 
 @pytest.fixture
@@ -29,6 +30,50 @@ class TestPipeline:
                    "--test", "c/test.txt", "--vocab", "c/vocab.tsv") == EXIT_OK
         out = capsys.readouterr().out
         assert "Vocab" in out and "OOV" in out
+
+    def test_preprocess_fractions(self, workdir, capsys):
+        run("template", "--seed", "1", "--notes", "40", "--outdir", "t")
+        assert run("preprocess", "--input", "t/notes.txt", "--outdir", "c", "--seed", "2",
+                   "--min-count", "2", "--fractions", "0.6,0.2,0.2") == EXIT_OK
+        assert [len(corpus_mod.read_corpus(f"c/{role}.txt"))
+                for role in ("train", "valid", "test")] == [24, 8, 8]
+        assert run("preprocess", "--input", "t/notes.txt", "--outdir", "c2",
+                   "--fractions", "0.5,0.5") == EXIT_CONFIG
+
+    def test_privacy_jobs_match_serial(self, workdir, capsys):
+        run("template", "--seed", "1", "--notes", "40", "--outdir", "t")
+        run("preprocess", "--input", "t/notes.txt", "--outdir", "c",
+            "--seed", "2", "--min-count", "2")
+        for jobs in ("1", "2"):
+            assert run("privacy", "--kind", "unigram", "--train", "c/train.txt",
+                       "--vocab", "c/vocab.tsv", "--sample-size", "4", "--seed", "3",
+                       "--jobs", jobs, "--out", f"priv{jobs}.json") == EXIT_OK
+        assert (workdir / "priv1.json").read_bytes() == (workdir / "priv2.json").read_bytes()
+
+    def test_report_renders_saved_report(self, workdir, capsys):
+        report = experiment.ExperimentReport(
+            rows=(experiment.ReportRow("real", None, None, None, 0.855, 0.5, 0.9, 0.95),
+                  experiment.ReportRow("lstm", 0.5, 12.25, 1.4, 0.3, None, 0.8, 0.4)),
+            stats={"vocab": 10}, config={"seed": 1}, artifacts={"lstm-d0.5": {}})
+        experiment.write_report(report, workdir / "report.json")
+        assert run("report", "--report", "report.json") == EXIT_OK
+        assert capsys.readouterr().out == report.render() + "\n"
+
+    def test_eval_nli_reads_embeddings_file(self, workdir, capsys):
+        run("template", "--seed", "1", "--notes", "60", "--outdir", "t")
+        run("preprocess", "--input", "t/notes.txt", "--outdir", "c",
+            "--seed", "2", "--min-count", "2")
+        assert run("eval-sim", "--corpus", "c/train.txt", "--benchmark",
+                   "t/benchmark_sim.csv", "--min-count", "1", "--dim", "16",
+                   "--iterations", "1", "--negatives", "3", "--seed", "1",
+                   "--embeddings", "emb.txt") == EXIT_OK
+        capsys.readouterr()
+        assert run("eval-nli", "--train", "t/nli_train.jsonl", "--test", "t/nli_test.jsonl",
+                   "--embeddings", "emb.txt", "--epochs", "2", "--seed", "1") == EXIT_OK
+        clf = train_nli_bow(read_nli_jsonl("t/nli_train.jsonl"), read_embeddings("emb.txt"),
+                            NliConfig(epochs=2, seed=1))
+        accuracy = evaluate_nli(clf, read_nli_jsonl("t/nli_test.jsonl"))
+        assert capsys.readouterr().out == f"accuracy {accuracy:.4f}\n"
 
     def test_train_generate_perplexity_privacy(self, workdir, capsys):
         run("template", "--seed", "1", "--notes", "40", "--outdir", "t")

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from synthnotes.corpus import Corpus, Note
-from synthnotes.lm import UniformModel, train_unigram
+from synthnotes.lm import LanguageModel, UniformModel, train_unigram
 from synthnotes.privacy import (
     NotePrivacyRecord,
     PrivacyConfig,
@@ -27,10 +27,27 @@ def two_note_corpus():
     ), "train")
 
 
+def log_probs(model, note):
+    return model.sequence_log_probs(model.encode_note(note))
+
+
+class CountingModel(LanguageModel):
+    """A model that records the notes of each scoring call in `calls`."""
+
+    def __init__(self, inner, calls):
+        super().__init__(inner.tokens)
+        self.inner, self.calls = inner, calls
+
+    def notes_log_probs(self, notes_ids):
+        self.calls.append([list(ids) for ids in notes_ids])
+        return self.inner.notes_log_probs(notes_ids)
+
+
 class TestSPdtpNote:
     def test_identical_models_score_zero(self):
-        model = UniformModel(("a", "b"))
-        record = s_pdtp_note(model, model, two_note_corpus().notes[0])
+        note = two_note_corpus().notes[0]
+        lp = log_probs(UniformModel(("a", "b")), note)
+        record = s_pdtp_note(lp, lp, note)
         assert record.s_pdtp == 0.0
         assert record.sign == "tie"
 
@@ -38,7 +55,8 @@ class TestSPdtpNote:
         corpus = two_note_corpus()
         full = train_unigram(corpus, ("a", "b"))
         loo = train_unigram(corpus.without_note("c1"), ("a", "b"))
-        record = s_pdtp_note(full, loo, corpus.notes[0])
+        note = corpus.notes[0]
+        record = s_pdtp_note(log_probs(full, note), log_probs(loo, note), note)
         assert record.s_pdtp == pytest.approx(LN_4_3, abs=1e-12)
         assert record.token == "a"
         assert record.sign == "positive"
@@ -47,22 +65,19 @@ class TestSPdtpNote:
         corpus = two_note_corpus()
         full = train_unigram(corpus, ("a", "b"))
         loo = train_unigram(corpus.without_note("c2"), ("a", "b"))
-        record = s_pdtp_note(full, loo, corpus.notes[1])
+        note = corpus.notes[1]
+        record = s_pdtp_note(log_probs(full, note), log_probs(loo, note), note)
         assert record.s_pdtp == pytest.approx(LN_4_3, abs=1e-12)
         assert record.sign == "positive"
 
     def test_symmetry_under_model_swap(self):
         corpus = two_note_corpus()
-        full = train_unigram(corpus, ("a", "b"))
-        loo = train_unigram(corpus.without_note("c1"), ("a", "b"))
-        a = s_pdtp_note(full, loo, corpus.notes[0])
-        b = s_pdtp_note(loo, full, corpus.notes[0])
+        note = corpus.notes[0]
+        lp_full = log_probs(train_unigram(corpus, ("a", "b")), note)
+        lp_loo = log_probs(train_unigram(corpus.without_note("c1"), ("a", "b")), note)
+        a = s_pdtp_note(lp_full, lp_loo, note)
+        b = s_pdtp_note(lp_loo, lp_full, note)
         assert a.s_pdtp == b.s_pdtp
-
-    def test_vocabulary_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            s_pdtp_note(UniformModel(("a", "b")), UniformModel(("a", "c")),
-                        two_note_corpus().notes[0])
 
 
 class TestSPdtpScore:
@@ -79,6 +94,37 @@ class TestSPdtpScore:
         config = PrivacyConfig(trainer=lambda c: UniformModel(("a", "b")),
                                sample_size=2, seed=0)
         assert s_pdtp_score(corpus, config).aggregate == 0.0
+
+    def test_vocabulary_mismatch_rejected(self):
+        corpus = two_note_corpus()
+
+        def trainer(c):  # fold models get another token tuple
+            return UniformModel(("a", "b") if len(c) == len(corpus) else ("a", "c"))
+
+        with pytest.raises(ValueError, match="same vocabulary"):
+            s_pdtp_score(corpus, PrivacyConfig(trainer=trainer, sample_size=2))
+
+    def test_full_model_scores_the_sample_in_one_call(self):
+        rng = np.random.default_rng(11)
+        corpus = Corpus(tuple(
+            Note(f"n{i}", (tuple(rng.choice(["a", "b", "c"], size=3 + i % 4)),))
+            for i in range(9)), "train")
+        vocab = ("a", "b", "c")
+        full_calls, loo_calls = [], {}
+
+        def trainer(c):
+            if len(c) == len(corpus):
+                return CountingModel(train_unigram(c, vocab), full_calls)
+            (left_out,) = {n.id for n in corpus} - {n.id for n in c}
+            return CountingModel(train_unigram(c, vocab), loo_calls.setdefault(left_out, []))
+
+        report = s_pdtp_score(corpus, PrivacyConfig(trainer=trainer, sample_size=5, seed=2))
+        sampled = [r.note_id for r in report.records]
+        order = [n.id for n in corpus]
+        assert sorted(sampled, key=order.index) == sampled  # sample order is corpus order
+        ids = {n.id: [vocab.index(t) for t in n.tokens] for n in corpus}
+        assert full_calls == [[ids[i] for i in sampled]]
+        assert loo_calls == {i: [[ids[i]]] for i in sampled}
 
     def test_sample_size_validation(self):
         corpus = two_note_corpus()
