@@ -10,12 +10,30 @@ packed weight matrices is [input, forget, cell, output].
 The kernel is shaped by its per-call cost at small sizes (T=35, B=20,
 H=48): there, time goes to numpy calls, not arithmetic.
 
-- **Gate-row layout.** The recurrence runs on transposed per-step blocks,
-  (H, B) states and a (4H, B) gate block, so every gate is a contiguous
-  row block and every per-step call is a plain elementwise call over
-  contiguous memory. Inputs, outputs and weight gradients keep the
-  (T, B, features) layout; each layer transposes once on the way in and
-  once on the way out.
+- **Gate-row shapes, two memory orders.** The recurrence runs on
+  transposed per-step blocks, (H, B) states and a (4H, B) gate block, so
+  every gate is a row block and the per-step code is one code for both
+  orders. The order of the (T, rows, B) step arrays is chosen once per
+  call, from the hidden size alone:
+  - Below `BATCH_ROW_MIN_HIDDEN` they are C-ordered ("gate-row memory").
+    A step is call-bound there, and every gate is contiguous, so each
+    per-step call is a plain elementwise call over contiguous memory.
+    Each layer transposes its input projection and the gradient of its
+    output into this order once per chunk.
+  - From it on, a step is bound by its products, and the same shapes are
+    transposed views of C-ordered (T, B, rows) arrays ("batch-row
+    memory"). numpy then writes the recurrent product as h_rows @ wh, its
+    fast orientation (1.58 against 2.24 ms at H=650, B=20, float64, one
+    BLAS thread), and the projection, the hidden states, the output
+    gradient and dz need no transposing copy.
+  Inputs, outputs and weight gradients keep the (T, B, features) layout.
+  Without a cache, batch-row memory reuses one gate, cell and tanh(c)
+  block per layer across the steps. From the threshold up, the two orders
+  give bit-identical logits and states, and bit-identical gradients for
+  chunks of two or more steps. Where BLAS is handed differently laid out
+  operands, gradients can differ in the last bit: below the threshold in
+  the backward product `wh @ dz[t]` (hence no lower threshold), and in a
+  one-step chunk, where gate-row memory leaves dz transposed.
 - **One activation call per step.** All four gates come from a single
   `tanh` over the packed pre-activation block, through the identity
   sigmoid(z) = 0.5 * tanh(z / 2) + 0.5: the block is scaled by
@@ -28,10 +46,11 @@ H=48): there, time goes to numpy calls, not arithmetic.
   for all T steps at once before the loop: the gate derivatives, the
   previous cell and hidden states with the reset factor `keep` applied,
   o * (1 - tanh(c)^2) and f * keep. The loop only fills the gate-gradient
-  buffer `dz` and makes the one product that feeds the next step back,
-  `wh @ dz[t]`. The weight, bias and input gradients are then one product
-  (or sum) each per layer over the whole chunk, and the embedding gradient
-  one sparse one-hot product.
+  buffer `dz`, in place over the gate-derivative factors, and makes the
+  one product that feeds the next step back, `wh @ dz[t]`. The weight,
+  bias and input gradients are then one product (or sum) each per layer
+  over the whole chunk, and the embedding gradient one sparse one-hot
+  product.
 """
 
 from __future__ import annotations
@@ -154,13 +173,32 @@ def make_dropout_masks(rng: np.random.Generator, p: float, steps: int, batch: in
     ]
 
 
+# hidden size from which the recurrence's step blocks are held in batch-row
+# memory (see the module docstring). The lowest size where both orders gave
+# bit-identical gradients (192 did not); from it on, float64 training steps
+# measured at parity or faster and inference about a fifth faster (one BLAS
+# thread, crossover table in CHANGES.md)
+BATCH_ROW_MIN_HIDDEN = 256
+
+
+def _step_blocks(lead: tuple, rows: int, batch: int, dtype, batch_rows: bool) -> np.ndarray:
+    """An empty (*lead, rows, B) array of per-step blocks: C-ordered, or in
+    batch-row memory the transposed view of a C-ordered (*lead, B, rows)."""
+    if batch_rows:
+        return np.empty((*lead, batch, rows), dtype=dtype).swapaxes(-1, -2)
+    return np.empty((*lead, rows, batch), dtype=dtype)
+
+
 @functools.lru_cache(maxsize=64)
-def _gate_affine(dtype: np.dtype, hidden: int, batch: int) -> tuple[np.ndarray, np.ndarray]:
+def _gate_affine(dtype: np.dtype, hidden: int, batch: int,
+                 batch_rows: bool) -> tuple[np.ndarray, np.ndarray]:
     """Read-only (4H, B) scale and shift of the sigmoid-via-tanh identity:
-    [1/2, 1/2, 1, 1/2] and [1/2, 1/2, 0, 1/2] per gate-row block. Full-size,
-    because a broadcast operand costs more per call than the arithmetic."""
+    [1/2, 1/2, 1, 1/2] and [1/2, 1/2, 0, 1/2] per gate-row block, in the
+    step blocks' memory order. Full-size, because a broadcast operand costs
+    more per call than the arithmetic."""
     def rows(values):
-        arr = np.repeat(np.array(values, dtype=dtype), hidden * batch).reshape(4 * hidden, batch)
+        arr = _step_blocks((), 4 * hidden, batch, dtype, batch_rows)
+        arr[...] = np.repeat(np.array(values, dtype=dtype), hidden)[:, None]
         arr.flags.writeable = False
         return arr
     return rows([0.5, 0.5, 1.0, 0.5]), rows([0.5, 0.5, 0.0, 0.5])
@@ -168,10 +206,11 @@ def _gate_affine(dtype: np.dtype, hidden: int, batch: int) -> tuple[np.ndarray, 
 
 class ForwardCache:
     """Intermediates retained by the training-mode forward pass. Arrays
-    marked gate-row are (T, rows, B), the others (T, B, features)."""
+    marked gate-row are (T, rows, B), in batch-row memory when `batch_rows`
+    is set; the others are C-ordered (T, B, features)."""
 
     __slots__ = ("x_ids", "inputs", "acts", "cells", "tanh_c", "hiddens",
-                 "h0", "c0", "masks", "top", "keep_rows", "reset_steps")
+                 "h0", "c0", "masks", "top", "keep_rows", "reset_steps", "batch_rows")
 
     def __init__(self):
         self.inputs = []   # per layer: (T,B,D) dropped input fed to the layer
@@ -198,12 +237,13 @@ def stack_forward(params: StackParams, x_ids: np.ndarray, state,
     steps, batch = x_ids.shape
     hidden = params.layers[0].wh.shape[0]
     dtype = params.emb.dtype
-    scale, shift = _gate_affine(dtype, hidden, batch)
+    batch_rows = hidden >= BATCH_ROW_MIN_HIDDEN
+    scale, shift = _gate_affine(dtype, hidden, batch, batch_rows)
     keep_rows = None  # also for a mask without marks: most generation steps reset no stream
     reset_steps = frozenset()
     if reset_mask is not None and reset_mask.any():
-        keep = 1.0 - reset_mask.astype(dtype)[:, None, :]  # (T,1,B)
-        keep_rows = np.repeat(keep, hidden, axis=1)  # gate-row (T,H,B)
+        keep_rows = _step_blocks((steps,), hidden, batch, dtype, batch_rows)
+        keep_rows[...] = 1.0 - reset_mask.astype(dtype)[:, None, :]
         # keep is all ones at the other steps, where its product is skipped
         reset_steps = frozenset(np.flatnonzero(reset_mask.any(axis=1)).tolist())
 
@@ -213,6 +253,7 @@ def stack_forward(params: StackParams, x_ids: np.ndarray, state,
         cache.masks = masks
         cache.keep_rows = keep_rows
         cache.reset_steps = reset_steps
+        cache.batch_rows = batch_rows
         cache.h0 = [s[0] for s in state]
         cache.c0 = [s[1] for s in state]
 
@@ -222,29 +263,34 @@ def stack_forward(params: StackParams, x_ids: np.ndarray, state,
     new_state = []
     for li, layer in enumerate(params.layers):
         h, c = state[li][0].T, state[li][1].T  # gate-row (H,B)
-        hs = np.empty((steps, hidden, batch), dtype=dtype)
+        hs = _step_blocks((steps,), hidden, batch, dtype, batch_rows)
         acts = cs = tcs = None
-        if want_cache:
-            acts = np.empty((steps, 4 * hidden, batch), dtype=dtype)
-            cs = np.empty((steps, hidden, batch), dtype=dtype)
-            tcs = np.empty_like(cs)
+        if want_cache or batch_rows:
+            # the cache keeps every step's blocks; batch-row inference reuses
+            # one of each, where numpy would allocate C-ordered ones
+            acts, cs, tcs = (_step_blocks((steps if want_cache else 1,), rows, batch, dtype,
+                                          batch_rows)
+                             for rows in (4 * hidden, hidden, hidden))
         x_proj = layer_in.reshape(steps * batch, -1) @ layer.wx
         x_proj += layer.b
-        x_proj = np.ascontiguousarray(x_proj.reshape(steps, batch, -1).transpose(0, 2, 1))
+        x_proj = x_proj.reshape(steps, batch, -1).transpose(0, 2, 1)
+        if not batch_rows:
+            x_proj = np.ascontiguousarray(x_proj)
         wh_t = layer.wh.T
         for t in range(steps):
+            j = t if want_cache else 0
             if t in reset_steps:
                 h = h * keep_rows[t]
                 c = c * keep_rows[t]
-            a = np.matmul(wh_t, h, out=None if acts is None else acts[t])
+            a = np.matmul(wh_t, h, out=None if acts is None else acts[j])
             a += x_proj[t]
             a *= scale
             np.tanh(a, out=a)
             a *= scale
             a += shift  # a = [i, f, g, o]
-            c = np.multiply(a[hidden:2 * hidden], c, out=None if cs is None else cs[t])
+            c = np.multiply(a[hidden:2 * hidden], c, out=None if cs is None else cs[j])
             c += a[:hidden] * a[2 * hidden:3 * hidden]
-            h = np.multiply(a[3 * hidden:], np.tanh(c, out=None if tcs is None else tcs[t]),
+            h = np.multiply(a[3 * hidden:], np.tanh(c, out=None if tcs is None else tcs[j]),
                             out=hs[t])
         new_state.append((h.T, c.T))
         hs = hs.transpose(0, 2, 1)  # (T,B,H)
@@ -321,6 +367,7 @@ def stack_backward(params: StackParams, cache: ForwardCache, dlogits: np.ndarray
     hidden = params.layers[0].wh.shape[0]
     dtype = params.emb.dtype
     keep_rows = cache.keep_rows
+    batch_rows = cache.batch_rows
 
     out_w = params.emb.T if params.tied else params.out_w
     dl_flat = dlogits.reshape(n, -1)
@@ -336,7 +383,9 @@ def stack_backward(params: StackParams, cache: ForwardCache, dlogits: np.ndarray
         acts = cache.acts[li]
         tanh_c = cache.tanh_c[li]
         i, f, g, o = (acts[:, k * hidden:(k + 1) * hidden] for k in range(4))
-        c_prev = np.concatenate([cache.c0[li].T[None], cache.cells[li][:-1]])
+        c_prev = _step_blocks((steps,), hidden, batch, dtype, batch_rows)
+        c_prev[0] = cache.c0[li].T
+        c_prev[1:] = cache.cells[li][:-1]
         h_prev = np.concatenate([cache.h0[li][None], cache.hiddens[li][:-1]])
         f_keep = f
         if keep_rows is not None:
@@ -351,10 +400,12 @@ def stack_backward(params: StackParams, cache: ForwardCache, dlogits: np.ndarray
         for k, factor in enumerate((g, c_prev, i, tanh_c)):
             local[:, k] *= factor
         o_dtanh = o * (1.0 - tanh_c * tanh_c)
-        d_out = np.ascontiguousarray(d_layer_out.transpose(0, 2, 1))
+        d_out = d_layer_out.transpose(0, 2, 1)
+        if not batch_rows:
+            d_out = np.ascontiguousarray(d_out)
 
-        dz = np.empty((steps, 4, hidden, batch), dtype=dtype)
-        dh_next = np.zeros((hidden, batch), dtype=dtype)
+        dz = local  # each step's gate gradients overwrite its factors
+        dh_next = np.zeros_like(d_out[0])  # in the step blocks' memory order
         dc_next = np.zeros_like(dh_next)
         for t in range(steps - 1, -1, -1):
             dh = d_out[t] + dh_next
@@ -367,8 +418,8 @@ def stack_backward(params: StackParams, cache: ForwardCache, dlogits: np.ndarray
             if t in cache.reset_steps:
                 dh_next *= keep_rows[t]
 
-        # free the gate-row buffers before the products: at H=650 each is
-        # as large as a weight gradient
+        # free the other gate-row buffers before the products: at H=650
+        # each is as large as a weight gradient
         del local, c_prev, f_keep, o_dtanh, d_out
         dz = dz.reshape(steps, 4 * hidden, batch).transpose(0, 2, 1).reshape(n, 4 * hidden)
         layer_grads[li] = LayerParams(cache.inputs[li].reshape(n, -1).T @ dz,

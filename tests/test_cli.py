@@ -2,11 +2,12 @@ import json
 import logging
 import os
 
+import numpy as np
 import pytest
 
 from synthnotes import cli, corpus as corpus_mod, experiment, lm, modelio
 from synthnotes.cli import EXIT_CONFIG, EXIT_OK, main
-from synthnotes.embeddings import SgnsConfig, read_embeddings
+from synthnotes.embeddings import SgnsConfig, read_embeddings, train_sgns
 from synthnotes.utility import (NliConfig, TruecaserConfig, evaluate_nli,
                                 read_nli_jsonl, train_nli_bow)
 
@@ -162,6 +163,25 @@ class TestPipeline:
         out, retrained = eval_sim("2", "--retrain")
         assert retrained != written[1]
         assert "spearman" in out
+
+    def test_eval_sim_window_and_train_min_count_reach_sgns(self, workdir, capsys):
+        run("template", "--seed", "1", "--notes", "60", "--outdir", "t")
+        run("preprocess", "--input", "t/notes.txt", "--outdir", "c",
+            "--seed", "2", "--min-count", "2")
+        assert run("eval-sim", "--corpus", "c/train.txt", "--benchmark",
+                   "t/benchmark_sim.csv", "--min-count", "1", "--dim", "16",
+                   "--iterations", "1", "--negatives", "3", "--seed", "1",
+                   "--window", "2", "--train-min-count", "3",
+                   "--embeddings", "emb.txt") == EXIT_OK
+        written = read_embeddings("emb.txt")
+        train = corpus_mod.read_corpus("c/train.txt", "train")
+        base = dict(dim=16, iterations=1, negatives=3, seed=1)
+        expected = train_sgns(train, SgnsConfig(window=2, min_count=3, **base))
+        defaults = train_sgns(train, SgnsConfig(**base))
+        assert written.words == expected.words
+        assert np.array_equal(written.matrix, expected.matrix)
+        assert (written.words != defaults.words
+                or not np.array_equal(written.matrix, defaults.matrix))
 
     def test_eval_commands(self, workdir, capsys):
         run("template", "--seed", "1", "--notes", "60", "--outdir", "t")

@@ -176,6 +176,17 @@ KERNEL_CASES = {
 }
 
 
+@pytest.fixture
+def batch_row_memory(monkeypatch):
+    """Every hidden size runs the recurrence in batch-row memory."""
+    monkeypatch.setattr(core, "BATCH_ROW_MIN_HIDDEN", 0)
+
+
+@pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+def test_kernel_in_batch_row_memory_matches_reference(case, batch_row_memory):
+    test_kernel_matches_per_timestep_reference(case)
+
+
 @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
 def test_kernel_matches_per_timestep_reference(case):
     opts = dict(tied=True, steps=7, batch=3, vocab=12, hidden=8, layers=2, out_dim=None,
@@ -271,6 +282,12 @@ class TestForward:
         assert count == sum(len(ids) for ids in notes)
         assert total == pytest.approx(-sum(lp.sum() for lp in per_note), abs=1e-12)
 
+    def test_batched_note_nll_in_batch_row_memory(self, batch_row_memory):
+        self.test_batched_note_nll_matches_notes_scored_alone()
+
+    def test_batched_step_rows_in_batch_row_memory(self, batch_row_memory):
+        self.test_batched_step_rows_equal_streams_stepped_alone()
+
     def test_batched_step_rows_equal_streams_stepped_alone(self):
         rng, params, _, _ = tiny_setup(seed=21, init_scale=0.5)
         model = language_model.LstmLmModel((EON_TOKEN, *(f"w{i}" for i in range(11))),
@@ -292,6 +309,60 @@ class TestForward:
                 np.testing.assert_allclose(dists[j], row[0], rtol=0, atol=1e-12)
                 if feed[t, j] == eon:
                     np.testing.assert_allclose(dists[j], first, rtol=0, atol=1e-12)
+
+
+def run_in_memory_order(monkeypatch, min_hidden, params, x, y, state, masks, reset):
+    """Logits, final states and gradients of a training pass, plus the
+    inference pass's logits and final states, with the batch-row threshold
+    at min_hidden; the caller's state arrays must come back unchanged."""
+    monkeypatch.setattr(core, "BATCH_ROW_MIN_HIDDEN", min_hidden)
+    before = [a.copy() for pair in state for a in pair]
+    logits, new_state, cache = core.stack_forward(params, x, state, masks, want_cache=True,
+                                                  reset_mask=reset)
+    eval_logits, eval_state, _ = core.stack_forward(params, x, state, reset_mask=reset)
+    _, dlogits = core.xent_loss(logits, y)
+    grads = core.stack_backward(params, cache, dlogits)
+    assert all(np.array_equal(a, b) for a, b in zip(before, (b for pair in state for b in pair)))
+    forward = [logits, eval_logits, *(a for pair in new_state + eval_state for a in pair)]
+    return cache.batch_rows, forward, [arr for _, arr in grads.named_arrays()]
+
+
+def memory_order_case(hidden, dtype, batch, steps=4, vocab=30, seed=5):
+    rng = np.random.default_rng(seed)
+    params = core.init_stack(rng, vocab, hidden, hidden, 2, dtype=dtype)
+    x = rng.integers(0, vocab, size=(steps, batch))
+    y = rng.integers(0, vocab, size=(steps, batch))
+    state = [tuple((rng.standard_normal((batch, hidden)) * 0.5).astype(dtype) for _ in "hc")
+             for _ in range(2)]
+    masks = core.make_dropout_masks(rng, 0.5, steps, batch, params)
+    reset = rng.random((steps, batch)) < 0.3
+    reset[1, 0] = True
+    return params, x, y, state, masks, reset
+
+
+@pytest.mark.parametrize("hidden", [core.BATCH_ROW_MIN_HIDDEN, 650])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("batch", [1, 3])
+def test_memory_orders_bit_identical_from_threshold(monkeypatch, hidden, dtype, batch):
+    case = memory_order_case(hidden, dtype, batch)
+    chosen = run_in_memory_order(monkeypatch, core.BATCH_ROW_MIN_HIDDEN, *case)
+    gate_rows = run_in_memory_order(monkeypatch, math.inf, *case)
+    assert chosen[0] and not gate_rows[0]
+    for got, want in zip(chosen[1] + chosen[2], gate_rows[1] + gate_rows[2]):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_memory_orders_small_hidden(monkeypatch):
+    # below the threshold the backward product `wh @ dz[t]` takes another
+    # BLAS path in batch-row memory, so gradients may differ in the last bit
+    case = memory_order_case(48, np.float64, 20)
+    chosen = run_in_memory_order(monkeypatch, core.BATCH_ROW_MIN_HIDDEN, *case)
+    batch_rows = run_in_memory_order(monkeypatch, 0, *case)
+    assert not chosen[0] and batch_rows[0]
+    for got, want in zip(batch_rows[1], chosen[1]):
+        assert np.array_equal(got, want)
+    for got, want in zip(batch_rows[2], chosen[2]):
+        assert_rel_close(got, want)
 
 
 class TestGradients:
