@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import json
 import logging
 import os
 import sys
@@ -28,16 +29,14 @@ from .embeddings import (
 from .experiment import (
     ExperimentReport,
     ReportRow,
-    StageError,
     make_trainer,
     read_experiment_config,
-    read_report,
     run_experiment,
 )
 from .generation import GenerationConfig, generate_corpus
-from .neural import DivergenceError, LstmLmConfig
+from .neural import LstmLmConfig
 from .neural.language_model import LR_POLICIES
-from .privacy import PrivacyConfig, analyze_report, s_pdtp_score, write_privacy_report
+from .privacy import PrivacyConfig, analyze_report, json_text, s_pdtp_score
 from .template import write_template_bundle
 from .utility import (
     NliConfig,
@@ -119,15 +118,13 @@ def cmd_template(args) -> int:
 
 
 def cmd_preprocess(args) -> int:
-    outdir = _outdir(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     full = corpus_mod.read_raw_corpus(args.input)
     if args.lowercase:
         full = corpus_mod.lowercase_corpus(full)
     fractions = tuple(float(tok) for tok in args.fractions.split(","))
-    if len(fractions) != 3:
-        raise ConfigError("--fractions needs three comma-separated values")
     train, valid, test = corpus_mod.split_corpus(full, fractions, args.seed)
+    outdir = _outdir(args.outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
     vocab = corpus_mod.build_vocabulary(train, args.min_count)
     for split in (train, valid, test):
         unked = corpus_mod.apply_unk(split, vocab)
@@ -185,7 +182,7 @@ def cmd_privacy(args) -> int:
     if args.analyze:
         print(analyze_report(report).render())
     if args.out:
-        write_privacy_report(report, args.out)
+        Path(args.out).write_text(json_text(report.as_dict()), encoding="utf-8")
         print(f"report written to {args.out}")
     return EXIT_OK
 
@@ -242,7 +239,7 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_report(args) -> int:
-    data = read_report(args.report)
+    data = json.loads(Path(args.report).read_text(encoding="utf-8"))
     rows = tuple(ReportRow(**row) for row in data["rows"])
     report = ExperimentReport(rows=rows, stats=data["stats"], config=data["config"],
                               artifacts=data.get("artifacts", {}))
@@ -361,13 +358,10 @@ def main(argv=None) -> int:
         logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING,
                             format="%(levelname)s %(name)s: %(message)s")
         return args.fn(args)
-    except ConfigError as exc:
+    except (FileNotFoundError, ValueError) as exc:  # ConfigError is a ValueError
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (FileNotFoundError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (StageError, DivergenceError, RuntimeError) as exc:
+    except RuntimeError as exc:  # StageError and DivergenceError among them
         print(f"stage failure: {exc}", file=sys.stderr)
         return EXIT_STAGE
 

@@ -278,6 +278,18 @@ def compute_stats(train: Corpus, valid: Corpus, test: Corpus, vocab: Vocabulary)
     )
 
 
+def check_fractions(fractions: tuple[float, ...]) -> None:
+    """Split fractions are three non-negative values (train, valid, test)
+    summing to 1."""
+    if len(fractions) != 3:
+        raise ValueError(f"split fractions need three values (train, valid, test), "
+                         f"got {len(fractions)}")
+    if abs(sum(fractions) - 1.0) > 1e-9:
+        raise ValueError(f"fractions must sum to 1, got {fractions}")
+    if any(f < 0 for f in fractions):
+        raise ValueError("fractions must be non-negative")
+
+
 def split_corpus(
     corpus: Corpus, fractions: tuple[float, float, float], seed: int
 ) -> tuple[Corpus, Corpus, Corpus]:
@@ -285,10 +297,7 @@ def split_corpus(
 
     Notes keep their ids and their original relative order within each split.
     """
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise ValueError(f"fractions must sum to 1, got {fractions}")
-    if any(f < 0 for f in fractions):
-        raise ValueError("fractions must be non-negative")
+    check_fractions(fractions)
     n = len(corpus)
     rng = np.random.default_rng(seed)
     order = rng.permutation(n)

@@ -5,7 +5,6 @@ against gold ratings)."""
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -16,6 +15,14 @@ from scipy.stats import spearmanr
 
 from .corpus import Corpus
 
+# the word2vec recipe (Mikolov et al. 2013): the learning rate decays linearly
+# from INITIAL_LR to the MIN_LR floor, and negatives are drawn from unigram
+# counts raised to NOISE_POWER; pairs train BATCH_PAIRS at a time
+INITIAL_LR = 0.025
+MIN_LR = 1e-4
+NOISE_POWER = 0.75
+BATCH_PAIRS = 512
+
 
 @dataclass(frozen=True)
 class SgnsConfig:
@@ -24,21 +31,13 @@ class SgnsConfig:
     negatives: int = 10
     iterations: int = 10
     min_count: int = 5
-    initial_lr: float = 0.025
-    min_lr: float = 1e-4
-    noise_power: float = 0.75  # negative-sampling distribution exponent
-    batch_pairs: int = 512
     seed: int = 0
 
     def __post_init__(self):
         if self.dim < 1 or self.window < 1 or self.iterations < 1:
             raise ValueError("dim, window and iterations must be >= 1")
-        if self.negatives < 1 or self.batch_pairs < 1 or self.min_count < 1:
-            raise ValueError("negatives, batch_pairs and min_count must be >= 1")
-        if not (math.isfinite(self.initial_lr) and 0.0 < self.min_lr <= self.initial_lr):
-            raise ValueError("need finite 0 < min_lr <= initial_lr")
-        if not (math.isfinite(self.noise_power) and self.noise_power >= 0.0):
-            raise ValueError("noise_power must be finite and >= 0")
+        if self.negatives < 1 or self.min_count < 1:
+            raise ValueError("negatives and min_count must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -94,11 +93,11 @@ def _sgd_pass(w_in, w_out, centers, contexts, cdf, config: SgnsConfig,
     """One pass over the given pairs, updating w_in/w_out in place. A batch
     reads all its rows before it writes any, so every update in a batch is
     taken at the pre-batch weights."""
-    for lo in range(0, len(centers), config.batch_pairs):
-        c = centers[lo : lo + config.batch_pairs]
-        o = contexts[lo : lo + config.batch_pairs]
+    for lo in range(0, len(centers), BATCH_PAIRS):
+        c = centers[lo : lo + BATCH_PAIRS]
+        o = contexts[lo : lo + BATCH_PAIRS]
         b = len(c)
-        lr = max(config.min_lr, config.initial_lr * (1.0 - seen / total_visits))
+        lr = max(MIN_LR, INITIAL_LR * (1.0 - seen / total_visits))
         seen += b
 
         negs = np.searchsorted(cdf, rng.random((b, config.negatives)), side="right")
@@ -137,7 +136,7 @@ def train_sgns(corpus: Corpus, config: SgnsConfig = SgnsConfig()) -> EmbeddingSe
     fixed-width, extracted per sentence after dropping words under the
     training min_count; the learning rate decays linearly over all pair
     visits. Negatives are drawn from the unigram distribution raised to
-    `noise_power`; a negative that collides with the true context word is
+    NOISE_POWER; a negative that collides with the true context word is
     skipped.
     """
     if len(corpus) == 0 or corpus.word_count == 0:
@@ -167,7 +166,7 @@ def train_sgns(corpus: Corpus, config: SgnsConfig = SgnsConfig()) -> EmbeddingSe
     n_words = len(words)
     w_in = rng.uniform(-0.5 / config.dim, 0.5 / config.dim, size=(n_words, config.dim))
     w_out = np.zeros((n_words, config.dim))
-    cdf = _noise_cdf(freq, config.noise_power)
+    cdf = _noise_cdf(freq, NOISE_POWER)
 
     total_visits = config.iterations * len(centers)
     seen = 0

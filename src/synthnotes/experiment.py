@@ -14,7 +14,6 @@ from __future__ import annotations
 import configparser
 import functools
 import hashlib
-import json
 import logging
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -52,7 +51,7 @@ class StageError(RuntimeError):
         self.stage = stage
 
 
-_COMPONENTS = ("lstm", "sgns", "nli", "truecase")
+_COMPONENTS = ("lstm", "sgns", "nli", "truecase", "generation")
 # input files; without a raw corpus, a template bundle supplies any left unset
 _PATH_FIELDS = ("raw_corpus", "benchmark_sim", "benchmark_rel", "nli_train", "nli_test")
 
@@ -71,11 +70,13 @@ class ExperimentConfig:
     grid: tuple[str, ...] = ("unigram", "lstm:0.0", "lstm:0.5")
 
     # one config per component at desk scale (the module defaults keep the
-    # full-scale values); run_experiment sets every seed and the LSTM dropout
+    # full-scale values); run_experiment sets every seed, the LSTM dropout and
+    # the generation target (the train split's word count)
     lstm: LstmLmConfig = LstmLmConfig(hidden_size=48, initial_lr=6.0)
     sgns: SgnsConfig = SgnsConfig(dim=100, iterations=3)
     nli: NliConfig = NliConfig()
     truecase: TruecaserConfig = TruecaserConfig(hidden=48, emb_dim=16, max_sentences=2500)
+    generation: GenerationConfig = GenerationConfig(target_word_count=1)
 
     privacy_sample_size: int = 10
 
@@ -85,9 +86,6 @@ class ExperimentConfig:
 
     nli_train: str | None = None
     nli_test: str | None = None
-
-    gen_temperature: float = 1.0
-    gen_max_note_length: int = 2000
 
     jobs: int = 1
 
@@ -100,17 +98,21 @@ class ExperimentConfig:
             kind, dropout = parse_cell(cell)
             if kind == "lstm":
                 replace(self.lstm, dropout=dropout)  # the LSTM config's own checks
-        GenerationConfig(1, self.gen_temperature, max_note_length=self.gen_max_note_length)
+        corpus_mod.check_fractions(self.split_fractions)
         if not 1 <= self.privacy_sample_size:
             raise ValueError("privacy_sample_size must be >= 1")
+        if self.jobs < 1:
+            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
 
     def echo(self) -> dict:
         """Config as written into reports. Worker count and output location
         are execution details, not experiment identity, and are left out so
-        reruns compare byte-identical; the component seeds and the LSTM
-        dropout are left out because the run sets them per stage and cell."""
+        reruns compare byte-identical; the component seeds, the LSTM dropout
+        and the generation target are left out because the run sets them per
+        stage and cell."""
         out = asdict(self)
         del out["jobs"], out["output_dir"], out["lstm"]["dropout"]
+        del out["generation"]["target_word_count"]
         for component in _COMPONENTS:
             del out[component]["seed"]
         return out
@@ -146,8 +148,7 @@ _INI_TABLE = {
             **_keys("nli", "epochs", "hidden", "lr")},
     "truecase": _keys("truecase", "hidden", "emb_dim", "epochs", "lr", "max_sentences",
                       batch="batch_size"),
-    "generation": _keys(None, temperature="gen_temperature",
-                        max_note_length="gen_max_note_length"),
+    "generation": _keys("generation", "temperature", "max_note_length"),
 }
 
 
@@ -219,14 +220,6 @@ class ExperimentReport:
                 f"{fmt(r.privacy):>9s} {fmt(r.similarity):>11s} {fmt(r.relatedness):>12s} "
                 f"{fmt(r.nli):>7s} {fmt(r.case):>7s}")
         return "\n".join(lines)
-
-
-def write_report(report: ExperimentReport, path: str | Path) -> None:
-    Path(path).write_text(privacy_mod.json_text(report.as_dict()), encoding="utf-8")
-
-
-def read_report(path: str | Path) -> dict:
-    return json.loads(Path(path).read_text(encoding="utf-8"))
 
 
 class LstmTrainer:
@@ -353,11 +346,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 
         ppl = _run_stage(f"perplexity:{label}", lm.perplexity, model, valid_u)
 
-        gen_cfg = GenerationConfig(
-            target_word_count=train_u.word_count,
-            temperature=config.gen_temperature,
-            seed=derive_seed(config.seed, f"generate:{label}"),
-            max_note_length=config.gen_max_note_length)
+        gen_cfg = replace(config.generation, target_word_count=train_u.word_count,
+                          seed=derive_seed(config.seed, f"generate:{label}"))
         synth = _run_stage(f"generate:{label}", generate_corpus, model, gen_cfg)
         synth_name = _write_artifact(outdir / "synthetic", label, ".txt",
                                      corpus_mod.corpus_text(synth).encode())
@@ -369,7 +359,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         privacy_report = _run_stage(f"privacy:{label}", privacy_mod.s_pdtp_score,
                                     train_u, privacy_cfg, model)
         privacy_name = _write_artifact(outdir / "privacy", label, ".json",
-                                       privacy_mod.privacy_report_text(privacy_report).encode())
+                                       privacy_mod.json_text(privacy_report.as_dict()).encode())
 
         sim, rel, nli_acc, case_f1 = utility_columns(synth, label)
         rows.append(ReportRow(model=kind, dropout=dropout, perplexity=ppl,
@@ -381,6 +371,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 
     report = ExperimentReport(rows=tuple(rows), stats=stats.as_dict(),
                               config=config.echo(), artifacts=artifacts)
-    write_report(report, outdir / "report.json")
+    (outdir / "report.json").write_text(privacy_mod.json_text(report.as_dict()),
+                                        encoding="utf-8")
     (outdir / "report.txt").write_text(report.render() + "\n", encoding="utf-8")
     return report

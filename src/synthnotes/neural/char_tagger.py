@@ -16,23 +16,23 @@ from . import core
 log = logging.getLogger(__name__)
 
 N_CLASSES = 2
+LAYERS = 1  # recurrent layers under the two-class head
+GRAD_CLIP = 1.0  # global gradient-norm bound per training step
 
 
 @dataclass(frozen=True)
 class TruecaserConfig:
     hidden: int = 64
     emb_dim: int = 24
-    layers: int = 1
     epochs: int = 8
     lr: float = 2.0
     batch_size: int = 8
-    grad_clip: float = 1.0
     seed: int = 0
     max_sentences: int | None = None  # seeded subsample cap for large corpora
 
     def __post_init__(self):
-        if min(self.hidden, self.emb_dim, self.layers, self.epochs, self.batch_size) < 1:
-            raise ValueError("hidden, emb_dim, layers, epochs and batch_size must be >= 1")
+        if min(self.hidden, self.emb_dim, self.epochs, self.batch_size) < 1:
+            raise ValueError("hidden, emb_dim, epochs and batch_size must be >= 1")
         if self.max_sentences is not None and self.max_sentences < 1:
             raise ValueError("max_sentences must be None or >= 1")
 
@@ -71,7 +71,7 @@ def train_char_classifier(sequences: list[list[int]], labels: list[list[int]],
 
     rng = np.random.default_rng(config.seed)
     params = core.init_stack(rng, n_symbols, config.emb_dim, config.hidden,
-                             config.layers, out_dim=N_CLASSES, tied=False)
+                             LAYERS, out_dim=N_CLASSES, tied=False)
     lr = config.lr
     best = math.inf
     work: dict = {}  # the last step's arrays, see core.train_step
@@ -84,7 +84,7 @@ def train_char_classifier(sequences: list[list[int]], labels: list[list[int]],
             x, mask = core.pad_columns([b[0] for b in batch])
             y, _ = core.pad_columns([b[1] for b in batch])
             loss, _ = core.train_step(params, x, y, core.zero_state(params, x.shape[1]), lr,
-                                      config.grad_clip, f"in the tagger at epoch {epoch}",
+                                      GRAD_CLIP, f"in the tagger at epoch {epoch}",
                                       work, mask=mask)
             n = int(mask.sum())
             epoch_loss += loss * n

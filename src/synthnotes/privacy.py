@@ -15,7 +15,6 @@ import concurrent.futures
 import hashlib
 import json
 from dataclasses import asdict, dataclass, field
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -34,6 +33,10 @@ class PrivacyConfig:
     seed: int = 0
     jobs: int = 1
     trainer_label: str = ""
+
+    def __post_init__(self):
+        if self.jobs < 1:
+            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
 
     def echo(self) -> dict:
         return {
@@ -202,11 +205,3 @@ def analyze_report(report: PrivacyReport) -> PrivacyAnalysis:
 def json_text(obj) -> str:
     """The JSON format of every report artifact."""
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
-
-
-def privacy_report_text(report: PrivacyReport) -> str:
-    return json_text(report.as_dict())
-
-
-def write_privacy_report(report: PrivacyReport, path: str | Path) -> None:
-    Path(path).write_text(privacy_report_text(report), encoding="utf-8")

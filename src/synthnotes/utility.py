@@ -16,6 +16,7 @@ from .neural import CharTagger, TruecaserConfig, train_char_classifier
 from .neural.core import softmax
 
 NLI_LABELS = ("entailment", "contradiction", "neutral")
+NLI_BATCH = 32  # examples per SGD step of the classifier head
 
 
 @dataclass(frozen=True)
@@ -34,12 +35,11 @@ class NliConfig:
     hidden: int = 128
     lr: float = 0.05
     epochs: int = 30
-    batch_size: int = 32
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.hidden, self.epochs, self.batch_size) < 1:
-            raise ValueError("hidden, epochs and batch_size must be >= 1")
+        if min(self.hidden, self.epochs) < 1:
+            raise ValueError("hidden and epochs must be >= 1")
 
 
 class NliBowClassifier:
@@ -101,8 +101,8 @@ def train_nli_bow(train: list[NliExample], emb: EmbeddingSet,
     n = len(train)
     for _ in range(config.epochs):
         order = rng.permutation(n)
-        for lo in range(0, n, config.batch_size):
-            idx = order[lo : lo + config.batch_size]
+        for lo in range(0, n, NLI_BATCH):
+            idx = order[lo : lo + NLI_BATCH]
             x = feats[idx]
             y = labels[idx]
             a1, probs = clf._forward(x)

@@ -8,6 +8,8 @@ import pytest
 from synthnotes import cli, corpus as corpus_mod, experiment, lm, modelio
 from synthnotes.cli import EXIT_CONFIG, EXIT_OK, main
 from synthnotes.embeddings import SgnsConfig, read_embeddings, train_sgns
+from synthnotes.generation import GenerationConfig, generate_corpus
+from synthnotes.privacy import json_text
 from synthnotes.utility import (NliConfig, TruecaserConfig, evaluate_nli,
                                 read_nli_jsonl, train_nli_bow)
 
@@ -38,8 +40,10 @@ class TestPipeline:
                    "--min-count", "2", "--fractions", "0.6,0.2,0.2") == EXIT_OK
         assert [len(corpus_mod.read_corpus(f"c/{role}.txt"))
                 for role in ("train", "valid", "test")] == [24, 8, 8]
-        assert run("preprocess", "--input", "t/notes.txt", "--outdir", "c2",
-                   "--fractions", "0.5,0.5") == EXIT_CONFIG
+        for fractions in ("0.5,0.5", "0.7,0.1,0.1,0.1"):
+            assert run("preprocess", "--input", "t/notes.txt", "--outdir", "c2",
+                       "--fractions", fractions) == EXIT_CONFIG
+            assert not (workdir / "c2").exists()
 
     def test_privacy_jobs_match_serial(self, workdir, capsys):
         run("template", "--seed", "1", "--notes", "40", "--outdir", "t")
@@ -56,7 +60,7 @@ class TestPipeline:
             rows=(experiment.ReportRow("real", None, None, None, 0.855, 0.5, 0.9, 0.95),
                   experiment.ReportRow("lstm", 0.5, 12.25, 1.4, 0.3, None, 0.8, 0.4)),
             stats={"vocab": 10}, config={"seed": 1}, artifacts={"lstm-d0.5": {}})
-        experiment.write_report(report, workdir / "report.json")
+        (workdir / "report.json").write_text(json_text(report.as_dict()), encoding="utf-8")
         assert run("report", "--report", "report.json") == EXIT_OK
         assert capsys.readouterr().out == report.render() + "\n"
 
@@ -86,8 +90,15 @@ class TestPipeline:
         ppl = float(capsys.readouterr().out.strip().splitlines()[-1])
         assert ppl > 1.0
         assert run("generate", "--model", "uni.ptlm", "--out", "synth.txt",
-                   "--target-words", "300", "--temperature", "1.0", "--seed", "5",
-                   "--max-note-len", "400") == EXIT_OK
+                   "--target-words", "300", "--temperature", "0.5", "--seed", "5",
+                   "--max-note-len", "40") == EXIT_OK
+        expected = generate_corpus(modelio.load_model("uni.ptlm"), GenerationConfig(
+            300, temperature=0.5, seed=5, max_note_length=40))
+        written = (workdir / "synth.txt").read_bytes()
+        assert written == corpus_mod.corpus_text(expected).encode()
+        assert run("generate", "--model", "uni.ptlm", "--out", "default.txt",
+                   "--target-words", "300") == EXIT_OK
+        assert (workdir / "default.txt").read_bytes() != written
         assert run("privacy", "--kind", "unigram", "--train", "c/train.txt",
                    "--vocab", "c/vocab.tsv", "--sample-size", "3", "--seed", "4",
                    "--analyze", "--out", "priv.json") == EXIT_OK
@@ -265,6 +276,9 @@ class TestExitCodes:
         assert not (workdir / "out").exists()
 
     @pytest.mark.parametrize("section, key, value", [
+        ("data", "split_fractions", "0.5,0.5"),
+        ("data", "split_fractions", "0.7,0.1,0.1,0.1"),
+        ("experiment", "jobs", "0"),
         ("truecase", "batch", "0"),
         ("nli", "epochs", "0"),
         ("experiment", "grid", "unigram, lstm:1.5"),
@@ -284,6 +298,20 @@ class TestExitCodes:
             for name, keys in sections.items()))
         assert run("experiment", "--config", "bad.ini") == EXIT_CONFIG
         assert not (workdir / "out").exists()
+
+    def test_jobs_below_one_rejected(self, workdir, capsys):
+        (workdir / "exp.ini").write_text("[data]\ntemplate_notes = 40\n"
+                                         "[experiment]\noutput_dir = out\ngrid = unigram\n")
+        assert run("experiment", "--config", "exp.ini", "--jobs", "-1") == EXIT_CONFIG
+        assert not (workdir / "out").exists()
+        run("template", "--seed", "1", "--notes", "20", "--outdir", "t")
+        run("preprocess", "--input", "t/notes.txt", "--outdir", "c", "--min-count", "2")
+        capsys.readouterr()
+        assert run("privacy", "--kind", "unigram", "--train", "c/train.txt",
+                   "--vocab", "c/vocab.tsv", "--sample-size", "2", "--jobs", "0",
+                   "--out", "priv.json") == EXIT_CONFIG
+        assert "jobs must be >= 1" in capsys.readouterr().err
+        assert not (workdir / "priv.json").exists()
 
     def test_version_and_help(self, workdir, capsys):
         with pytest.raises(SystemExit):

@@ -208,6 +208,11 @@ class TestSplit:
         with pytest.raises(ValueError):
             split_corpus(self.make(5), (0.6, 0.2, 0.1), seed=1)
 
+    @pytest.mark.parametrize("fractions", [(0.5, 0.5), (0.7, 0.1, 0.1, 0.1)])
+    def test_three_fractions_required(self, fractions):
+        with pytest.raises(ValueError, match="three values"):
+            split_corpus(self.make(10), fractions, seed=1)
+
 
 class TestSerialization:
     def test_write_read_roundtrip(self, tmp_path):

@@ -85,7 +85,7 @@ temperature = 0.9
         assert config.privacy_sample_size == 4
         assert config.sgns.dim == 32
         assert config.truecase.max_sentences == 100
-        assert config.gen_temperature == pytest.approx(0.9)
+        assert config.generation.temperature == pytest.approx(0.9)
 
     @pytest.mark.parametrize("section,key", INI_KEYS)
     def test_every_key_sets_its_field(self, tmp_path, section, key):
@@ -146,6 +146,7 @@ temperature = 0.9
         assert echo["lstm"] == lstm
         for component in ("sgns", "nli", "truecase"):
             assert "seed" not in echo[component]
+        assert echo["generation"] == {"temperature": 1.0, "max_note_length": 2000}
         assert echo["grid"] == ("unigram", "lstm:0.0", "lstm:0.5")
         json.dumps(echo)
 
@@ -180,7 +181,8 @@ class TestRunExperiment:
         train, _, _ = split_corpus(full, config.split_fractions, derive_seed(config.seed, "split"))
         for label, paths in report.artifacts.items():
             synth = read_corpus(outdir / "synthetic" / paths["synthetic"])
-            assert train.word_count <= synth.word_count <= train.word_count + config.gen_max_note_length
+            assert (train.word_count <= synth.word_count
+                    <= train.word_count + config.generation.max_note_length)
 
     def test_render_table(self, tmp_path):
         report = run_experiment(small_config(tmp_path / "out"))

@@ -588,8 +588,8 @@ class TestCharTagger:
     def test_divergence_reported(self):
         seqs = [[1, 2, 3, 4, 2, 1], [3, 3, 1, 2]] * 4
         labels = [[0, 1, 0, 1, 1, 0], [1, 0, 0, 1]] * 4
-        config = TruecaserConfig(hidden=8, emb_dim=4, epochs=4, lr=1e18, grad_clip=1e18,
-                                 batch_size=2, seed=0)
+        config = TruecaserConfig(hidden=8, emb_dim=4, epochs=4, lr=1e18, batch_size=2,
+                                 seed=0)
         with pytest.raises(DivergenceError, match="epoch"):
             train_char_classifier(seqs, labels, n_symbols=5, config=config)
 

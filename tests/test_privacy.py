@@ -13,8 +13,8 @@ from synthnotes.privacy import (
     PrivacyReport,
     analyze_report,
     s_pdtp_note,
+    json_text,
     s_pdtp_score,
-    write_privacy_report,
 )
 
 LN_4_3 = math.log(4.0 / 3.0)
@@ -255,7 +255,7 @@ class TestReportIO:
                                sample_size=2, seed=0, trainer_label="unigram")
         report = s_pdtp_score(corpus, config)
         path = tmp_path / "report.json"
-        write_privacy_report(report, path)
+        path.write_text(json_text(report.as_dict()), encoding="utf-8")
         data = json.loads(path.read_text(encoding="utf-8"))
         assert data["aggregate"] == report.aggregate
         assert data["config"]["trainer"] == "unigram"

@@ -97,7 +97,7 @@ class TestNli:
                             NliConfig(epochs=20, seed=0))
         assert evaluate_nli(clf, test) == evaluate_nli(clf, list(reversed(test)))
 
-    @pytest.mark.parametrize("field", ["hidden", "epochs", "batch_size"])
+    @pytest.mark.parametrize("field", ["hidden", "epochs"])
     def test_config_sizes_checked(self, field):
         with pytest.raises(ValueError, match=field):
             NliConfig(**{field: 0})
@@ -195,7 +195,7 @@ class TestTruecaser:
         with pytest.raises(ValueError):
             read_case_pairs(cased, bad)
 
-    @pytest.mark.parametrize("field", ["hidden", "emb_dim", "layers", "epochs", "batch_size",
+    @pytest.mark.parametrize("field", ["hidden", "emb_dim", "epochs", "batch_size",
                                        "max_sentences"])
     def test_config_sizes_checked(self, field):
         with pytest.raises(ValueError, match=field):
