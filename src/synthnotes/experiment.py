@@ -99,6 +99,9 @@ class ExperimentConfig:
             if kind == "lstm":
                 replace(self.lstm, dropout=dropout)  # the LSTM config's own checks
         corpus_mod.check_fractions(self.split_fractions)
+        if min(self.split_fractions) == 0:
+            raise ValueError(f"the experiment needs all three splits, so every split "
+                             f"fraction must be positive, got {self.split_fractions}")
         if not 1 <= self.privacy_sample_size:
             raise ValueError("privacy_sample_size must be >= 1")
         if self.jobs < 1:
@@ -268,8 +271,6 @@ def _run_stage(stage: str, fn, *args, **kwargs):
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     config.validate()
     outdir = Path(config.output_dir)
-    for sub in ("models", "synthetic", "privacy"):
-        (outdir / sub).mkdir(parents=True, exist_ok=True)
     artifacts: dict = {}
 
     # ---- data stage -------------------------------------------------------
@@ -291,6 +292,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     vocab, train_u, valid_u, test_u = _run_stage("preprocess", prepare)
     stats = _run_stage("stats", corpus_mod.compute_stats, train_u, valid_u, test_u, vocab)
     log.info("corpus ready: %s", stats.as_dict())
+    for sub in ("models", "synthetic", "privacy"):
+        (outdir / sub).mkdir(parents=True, exist_ok=True)
 
     def read_input(name, reader, *args):
         return reader(paths[name], *args) if paths[name] else None

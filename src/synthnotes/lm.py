@@ -34,7 +34,10 @@ class LanguageModel:
       the (n, V) next-token distributions and the new state; sampling walks it;
     - :meth:`notes_log_probs` -- per-position ``log p(w_i | w_1..i-1)`` in
       float64 for each note of a list, each scored from a fresh note start;
-      perplexity and the privacy audit use this.
+      perplexity and the privacy audit use this. The caller owns the returned
+      arrays. A model may return values it already holds for the same notes
+      and parameters, such as a trained LSTM's kept validation pass, but
+      never values its scoring would not compute.
 
     A note starts from the end-of-note id (an unseen context when the token
     space lacks it), and a stream fed that id starts a fresh note. So scoring

@@ -4,6 +4,11 @@ Training follows the classic recipe: the corpus is concatenated into one
 token stream with an end-of-note token closing every note, folded into
 batch_size parallel streams, and optimized by truncated BPTT with
 gradient-clipped SGD under one of two plateau learning-rate policies.
+
+The trained model keeps the per-note validation log-probs of the parameters
+it keeps, from the training pass that chose them, and hands them back when
+the same parameters score the same notes, so the validation split is scored
+once. A model reloaded from its file keeps nothing and recomputes.
 """
 
 from __future__ import annotations
@@ -71,6 +76,8 @@ class LstmLmModel(LanguageModel):
         self.config = config
         self.params = params
         self.history: list[dict] = []
+        # (valid ids, params, per-note log-probs) of the kept training pass
+        self._kept_valid: tuple | None = None
 
     def start_state(self, n: int):
         return core.zero_state(self.params, n)
@@ -81,6 +88,10 @@ class LstmLmModel(LanguageModel):
 
     def notes_log_probs(self, notes_ids) -> list[np.ndarray]:
         checked = [self._checked_ids(ids).tolist() for ids in notes_ids]
+        if self._kept_valid is not None:
+            valid_ids, params, log_probs = self._kept_valid
+            if params is self.params and checked == valid_ids:
+                return [lp.copy() for lp in log_probs]
         return batched_note_nll(self.params, checked, self.eon_id)[2]
 
 
@@ -123,14 +134,10 @@ def batched_note_nll(params: core.StackParams, notes_ids: list[list[int]], eon_i
     return total, sum(len(ids) for ids in notes_ids), per_note
 
 
-def _valid_nll(params: core.StackParams, notes_ids: list[list[int]], eon_id: int) -> float:
-    total, count, _ = batched_note_nll(params, notes_ids, eon_id)
-    return total / count
-
-
 def train_lstm_lm(train: Corpus, valid: Corpus, vocab, config: LstmLmConfig) -> LstmLmModel:
     """Train on the eon-joined train stream; keep the parameters from the
-    epoch with the best per-note validation loss."""
+    validation check with the best per-note loss, read-only, together with
+    that check's per-note log-probs."""
     rng = np.random.default_rng(config.seed)
     model = LstmLmModel(vocab, config, params=None)  # validates the token space
     n_vocab = model.vocab_size
@@ -149,11 +156,22 @@ def train_lstm_lm(train: Corpus, valid: Corpus, vocab, config: LstmLmConfig) -> 
 
     lr = config.initial_lr
     best_nll = math.inf
-    best_params = params.copy()
+    best_params, best_log_probs = params.copy(), None
     n_chunks = max(1, (data.shape[0] - 1 + config.bptt - 1) // config.bptt)
     check_every = max(1, n_chunks // 40)  # medtext103 validates ~40x per epoch
     last_check_nll = math.inf
     work: dict = {}  # the last step's arrays, see core.train_step
+
+    def validate() -> tuple[float, bool]:
+        """Valid NLL of the live parameters; keep them and their per-note
+        log-probs when it is the best so far."""
+        nonlocal best_nll, best_params, best_log_probs
+        total, count, log_probs = batched_note_nll(params, valid_ids, model.eon_id)
+        nll = total / count
+        improved = nll < best_nll
+        if improved:
+            best_nll, best_params, best_log_probs = nll, params.copy(), log_probs
+        return nll, improved
 
     for epoch in range(1, config.epochs + 1):
         state = core.zero_state(params, config.batch_size)
@@ -169,19 +187,13 @@ def train_lstm_lm(train: Corpus, valid: Corpus, vocab, config: LstmLmConfig) -> 
             epoch_positions += x.size
 
             if config.lr_decay_policy == "medtext103" and (chunk_idx + 1) % check_every == 0:
-                nll = _valid_nll(params, valid_ids, model.eon_id)
-                if nll < best_nll:
-                    best_nll = nll
-                    best_params = params.copy()
+                nll, _ = validate()
                 if last_check_nll - nll < config.min_improvement:
                     lr = max(lr / 1.2, config.min_lr)
                 last_check_nll = nll
 
-        valid_nll = _valid_nll(params, valid_ids, model.eon_id)
-        if valid_nll < best_nll:
-            best_nll = valid_nll
-            best_params = params.copy()
-        elif config.lr_decay_policy == "medtext2":
+        valid_nll, improved = validate()
+        if not improved and config.lr_decay_policy == "medtext2":
             lr = lr / 4.0
         train_nll = epoch_loss / max(epoch_positions, 1)
         model.history.append({
@@ -193,5 +205,10 @@ def train_lstm_lm(train: Corpus, valid: Corpus, vocab, config: LstmLmConfig) -> 
         log.info("epoch %d: train ppl %.3f, valid ppl %.3f, lr %.4g",
                  epoch, math.exp(train_nll), math.exp(valid_nll), lr)
 
+    # read-only, so the kept log-probs cannot go stale under an in-place write
+    for _, arr in best_params.named_arrays():
+        arr.flags.writeable = False
     model.params = best_params
+    if best_log_probs is not None:
+        model._kept_valid = (valid_ids, best_params, best_log_probs)
     return model

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from synthnotes import cli, corpus as corpus_mod, experiment, lm, modelio
-from synthnotes.cli import EXIT_CONFIG, EXIT_OK, main
+from synthnotes.cli import EXIT_CONFIG, EXIT_OK, EXIT_STAGE, main
 from synthnotes.embeddings import SgnsConfig, read_embeddings, train_sgns
 from synthnotes.generation import GenerationConfig, generate_corpus
 from synthnotes.privacy import json_text
@@ -278,6 +278,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("section, key, value", [
         ("data", "split_fractions", "0.5,0.5"),
         ("data", "split_fractions", "0.7,0.1,0.1,0.1"),
+        ("data", "split_fractions", "0.9,0.1,0.0"),
         ("experiment", "jobs", "0"),
         ("truecase", "batch", "0"),
         ("nli", "epochs", "0"),
@@ -298,6 +299,15 @@ class TestExitCodes:
             for name, keys in sections.items()))
         assert run("experiment", "--config", "bad.ini") == EXIT_CONFIG
         assert not (workdir / "out").exists()
+
+    def test_split_emptied_by_rounding_writes_no_cell_output(self, workdir, capsys):
+        # 4 notes at 0.8/0.1/0.1 round to 3/0/1: an empty valid split
+        (workdir / "exp.ini").write_text("[data]\ntemplate_notes = 4\nmin_count = 1\n"
+                                         "[experiment]\noutput_dir = out\ngrid = unigram\n")
+        assert run("experiment", "--config", "exp.ini") == EXIT_STAGE
+        assert "stage 'stats' failed: empty valid split" in capsys.readouterr().err
+        assert not any((workdir / "out" / sub).exists()
+                       for sub in ("models", "synthetic", "privacy"))
 
     def test_jobs_below_one_rejected(self, workdir, capsys):
         (workdir / "exp.ini").write_text("[data]\ntemplate_notes = 40\n"

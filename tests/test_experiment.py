@@ -184,6 +184,25 @@ class TestRunExperiment:
             assert (train.word_count <= synth.word_count
                     <= train.word_count + config.generation.max_note_length)
 
+    def test_saved_lstm_reproduces_report_perplexity(self, tmp_path):
+        """A reloaded model scores afresh, so this checks the perplexity the
+        run took from training validation against an independent recompute."""
+        outdir = tmp_path / "out"
+        config = small_config(outdir, grid=("lstm:0.0", "lstm:0.5"))
+        run_experiment(config)
+        from synthnotes import corpus as corpus_mod, lm, modelio
+        full = corpus_mod.read_raw_corpus(outdir / "template" / "notes.txt")
+        train, valid, _ = corpus_mod.split_corpus(full, config.split_fractions,
+                                                  derive_seed(config.seed, "split"))
+        valid = corpus_mod.apply_unk(valid, corpus_mod.build_vocabulary(train, config.min_count))
+        report = json.loads((outdir / "report.json").read_text())
+        rows = [row for row in report["rows"] if row["model"] == "lstm"]
+        assert [row["dropout"] for row in rows] == [0.0, 0.5]
+        for row in rows:
+            paths = report["artifacts"][f"lstm-d{row['dropout']:g}"]
+            model = modelio.load_model(outdir / "models" / paths["model"])
+            assert lm.perplexity(model, valid) == row["perplexity"]
+
     def test_render_table(self, tmp_path):
         report = run_experiment(small_config(tmp_path / "out"))
         text = report.render()

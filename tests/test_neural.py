@@ -5,7 +5,7 @@ import pytest
 from scipy.special import expit
 
 from synthnotes.corpus import Corpus, EON_TOKEN, Note, UNK_TOKEN, Vocabulary
-from synthnotes import lm
+from synthnotes import lm, modelio
 from synthnotes.neural import language_model
 from synthnotes.neural import (
     DivergenceError,
@@ -463,6 +463,14 @@ def repeated_sentence_corpus(n_notes=20):
     return Corpus(notes, "train"), vocab
 
 
+def random_valid_corpus(vocab, n_notes=70, seed=8):
+    """Notes of 1 to 11 random words, so they fill padded groups unevenly."""
+    rng = np.random.default_rng(seed)
+    words = vocab.tokens[2:]
+    return Corpus(tuple(Note(f"v{i}", (tuple(rng.choice(words, size=rng.integers(1, 12))),))
+                        for i in range(n_notes)), "valid")
+
+
 class TestTrainLstm:
     def test_same_seed_identical_parameters(self):
         corpus, vocab = repeated_sentence_corpus()
@@ -501,7 +509,7 @@ class TestTrainLstm:
         corpus, vocab = repeated_sentence_corpus()
         lrs = []
         valid_calls = []
-        sgd_step, valid_nll = core.sgd_step, language_model._valid_nll
+        sgd_step, note_nll = core.sgd_step, language_model.batched_note_nll
 
         def recording_step(params, grads, lr):
             lrs.append(lr)
@@ -509,10 +517,10 @@ class TestTrainLstm:
 
         def counting_valid(*args):
             valid_calls.append(len(lrs))
-            return valid_nll(*args)
+            return note_nll(*args)
 
         monkeypatch.setattr(core, "sgd_step", recording_step)
-        monkeypatch.setattr(language_model, "_valid_nll", counting_valid)
+        monkeypatch.setattr(language_model, "batched_note_nll", counting_valid)
         epochs = 2
         # min_improvement above any achievable gain: every check decays the lr
         config = LstmLmConfig(hidden_size=4, layers=1, epochs=epochs, seed=3, initial_lr=1.0,
@@ -546,17 +554,62 @@ class TestTrainLstm:
         """Training validation and lm.perplexity are one computation: the
         same float64 note-order sum, in float32 too."""
         corpus, vocab = repeated_sentence_corpus()
-        rng = np.random.default_rng(8)
-        words = vocab.tokens[2:]
-        valid = Corpus(tuple(Note(f"v{i}", (tuple(rng.choice(words, size=rng.integers(1, 12))),))
-                             for i in range(70)), "valid")
+        valid = random_valid_corpus(vocab)
         config = LstmLmConfig(hidden_size=8, layers=2, epochs=3, seed=2, initial_lr=1.0,
                               batch_size=2, bptt=10, dtype="float32")
         model = train_lstm_lm(corpus, valid, vocab, config)
         ids = [model.encode_note(note) for note in valid]
         ppl = lm.perplexity(model, valid)
-        assert math.exp(language_model._valid_nll(model.params, ids, model.eon_id)) == ppl
+        total, count, _ = batched_note_nll(model.params, ids, model.eon_id)
+        assert math.exp(total / count) == ppl
         assert min(h["valid_ppl"] for h in model.history) == ppl
+
+    @pytest.mark.parametrize("dtype", language_model.DTYPES)
+    @pytest.mark.parametrize("policy", language_model.LR_POLICIES)
+    def test_kept_validation_pass_is_reused(self, policy, dtype, tmp_path, monkeypatch):
+        """The trained model hands back its kept validation log-probs for the
+        validation notes under the kept parameters, and recomputes otherwise."""
+        corpus, vocab = repeated_sentence_corpus()
+        valid = random_valid_corpus(vocab)
+        config = LstmLmConfig(hidden_size=8, layers=2, epochs=3, seed=5, initial_lr=1.0,
+                              batch_size=2, bptt=10, lr_decay_policy=policy, dtype=dtype)
+        model = train_lstm_lm(corpus, valid, vocab, config)
+        modelio.save_model(model, tmp_path / "lm.ptlm")
+        reloaded = modelio.load_model(tmp_path / "lm.ptlm")
+
+        calls = []
+        note_nll = language_model.batched_note_nll
+
+        def counting(*args):
+            calls.append(len(args[1]))
+            return note_nll(*args)
+
+        monkeypatch.setattr(language_model, "batched_note_nll", counting)
+
+        def calls_made(fn, *args):
+            calls.clear()
+            result = fn(*args)
+            return len(calls), result
+
+        n, ppl = calls_made(lm.perplexity, model, valid)
+        assert n == 0
+        assert calls_made(lm.perplexity, reloaded, valid) == (1, ppl)
+        for other in (corpus, Corpus(valid.notes[::-1], "valid"),
+                      Corpus(valid.notes[1:], "valid")):
+            assert calls_made(lm.perplexity, model, other)[0] == 1
+
+        # a caller writing into the returned arrays leaves the next result alone
+        ids = [model.encode_note(note) for note in valid]
+        first = model.notes_log_probs(ids)
+        expected = [lp.copy() for lp in first]
+        for lp in first:
+            lp[:] = 0.0
+        assert all(np.array_equal(a, b) for a, b in zip(model.notes_log_probs(ids), expected))
+        # the kept parameters are read-only; new ones are scored afresh
+        with pytest.raises(ValueError):
+            model.params.emb[0, 0] = 0.0
+        model.params = model.params.copy()
+        assert calls_made(lm.perplexity, model, valid)[0] == 1
 
     def test_batchify_rejects_tiny_streams(self):
         with pytest.raises(ValueError):
