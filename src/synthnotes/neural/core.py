@@ -132,7 +132,7 @@ def init_stack(rng: np.random.Generator, vocab_in: int, emb_dim: int, hidden: in
         raise ValueError("tied embeddings force embedding dim == hidden size")
 
     def uni(*shape):
-        return rng.uniform(-init_scale, init_scale, size=shape).astype(dtype)
+        return rng.uniform(-init_scale, init_scale, size=shape).astype(dtype, copy=False)
 
     emb = uni(vocab_in, emb_dim)
     layer_params = []
@@ -357,10 +357,14 @@ def xent_loss(logits: np.ndarray, targets: np.ndarray, mask: np.ndarray | None =
     return loss, e.reshape(steps, batch, n_out)
 
 
-def stack_backward(params: StackParams, cache: ForwardCache, dlogits: np.ndarray) -> StackParams:
+def stack_backward(params: StackParams, cache: ForwardCache, dlogits: np.ndarray,
+                   out: StackParams | None = None) -> StackParams:
     """Gradients for every parameter from a cached training forward pass.
 
-    Truncated BPTT: the chunk's initial state is treated as constant.
+    Truncated BPTT: the chunk's initial state is treated as constant. With
+    `out`, gradients shaped like `params`, the layer and head gradients are
+    written into its arrays by the same products and sums; the embedding
+    gradient is always a new array.
     """
     steps, batch, _ = dlogits.shape
     n = steps * batch
@@ -368,11 +372,14 @@ def stack_backward(params: StackParams, cache: ForwardCache, dlogits: np.ndarray
     dtype = params.emb.dtype
     keep_rows = cache.keep_rows
     batch_rows = cache.batch_rows
+    if out is None:  # None as an `out=` argument allocates
+        out = StackParams(None, [LayerParams(None, None, None)] * len(params.layers),
+                          None, None)
 
     out_w = params.emb.T if params.tied else params.out_w
     dl_flat = dlogits.reshape(n, -1)
-    d_out_w = cache.top.reshape(n, -1).T @ dl_flat  # (H, V)
-    d_out_b = dl_flat.sum(axis=0)
+    d_out_w = np.matmul(cache.top.reshape(n, -1).T, dl_flat, out=out.out_w)  # (H, V)
+    d_out_b = dl_flat.sum(axis=0, out=out.out_b)
     d_layer_out = (dl_flat @ out_w.T).reshape(steps, batch, -1)
     if cache.masks is not None:
         d_layer_out *= cache.masks[len(params.layers)]
@@ -422,8 +429,10 @@ def stack_backward(params: StackParams, cache: ForwardCache, dlogits: np.ndarray
         # each is as large as a weight gradient
         del local, c_prev, f_keep, o_dtanh, d_out
         dz = dz.reshape(steps, 4 * hidden, batch).transpose(0, 2, 1).reshape(n, 4 * hidden)
-        layer_grads[li] = LayerParams(cache.inputs[li].reshape(n, -1).T @ dz,
-                                      h_prev.reshape(n, hidden).T @ dz, dz.sum(axis=0))
+        dst = out.layers[li]
+        layer_grads[li] = LayerParams(np.matmul(cache.inputs[li].reshape(n, -1).T, dz, out=dst.wx),
+                                      np.matmul(h_prev.reshape(n, hidden).T, dz, out=dst.wh),
+                                      dz.sum(axis=0, out=dst.b))
         d_layer_out = (dz @ layer.wx.T).reshape(steps, batch, -1)
         if cache.masks is not None:
             d_layer_out *= cache.masks[li]
@@ -496,13 +505,15 @@ def train_step(params: StackParams, x: np.ndarray, y: np.ndarray, state, lr: flo
     allocator reuses the previous step's memory. Freed all at once at
     return instead, that memory went back to the system and every step
     faulted it in again: up to 25% more time per step at desk shape
-    (H=48, float32, 2-core Xeon)."""
+    (H=48, float32, 2-core Xeon). The previous step's gradients are not
+    replaced but overwritten: `work` lends their arrays to stack_backward,
+    so one set of gradients exists at a time."""
     logits, state, cache = stack_forward(params, x, state, masks, want_cache=True,
                                          reset_mask=reset_mask)
     work.update(logits=logits, cache=cache)
     loss, dlogits = xent_loss(logits, y, mask)
     work["dlogits"] = dlogits
-    grads = work["grads"] = stack_backward(params, cache, dlogits)
+    grads = work["grads"] = stack_backward(params, cache, dlogits, work.get("grads"))
     check_divergence(loss, clip_gradients(grads, grad_clip), where)
     sgd_step(params, grads, lr)
     return loss, state

@@ -9,6 +9,12 @@ The trained model keeps the per-note validation log-probs of the parameters
 it keeps, from the training pass that chose them, and hands them back when
 the same parameters score the same notes, so the validation split is scored
 once. A model reloaded from its file keeps nothing and recomputes.
+
+Besides the live parameters, training holds one copy of them at most: the
+kept parameters, filled in place at each improving check. The last check,
+at the final epoch's end, keeps the live parameters themselves. One set of
+gradients exists at a time, because `core.train_step` lends each step the
+previous step's gradient arrays through its `work` dict.
 """
 
 from __future__ import annotations
@@ -137,16 +143,20 @@ def batched_note_nll(params: core.StackParams, notes_ids: list[list[int]], eon_i
 def train_lstm_lm(train: Corpus, valid: Corpus, vocab, config: LstmLmConfig) -> LstmLmModel:
     """Train on the eon-joined train stream; keep the parameters from the
     validation check with the best per-note loss, read-only, together with
-    that check's per-note log-probs."""
-    rng = np.random.default_rng(config.seed)
+    that check's per-note log-probs. When no check improves (a non-finite
+    valid loss), the initial parameters are kept."""
     model = LstmLmModel(vocab, config, params=None)  # validates the token space
     n_vocab = model.vocab_size
-    params = core.init_stack(
-        rng, n_vocab, config.hidden_size, config.hidden_size, config.layers,
-        out_dim=None if config.tied_embeddings else n_vocab,
-        tied=config.tied_embeddings, dtype=config.np_dtype,
-    )
-    model.params = params
+
+    def init_params(rng: np.random.Generator) -> core.StackParams:
+        return core.init_stack(
+            rng, n_vocab, config.hidden_size, config.hidden_size, config.layers,
+            out_dim=None if config.tied_embeddings else n_vocab,
+            tied=config.tied_embeddings, dtype=config.np_dtype,
+        )
+
+    rng = np.random.default_rng(config.seed)
+    params = model.params = init_params(rng)
 
     stream = model.corpus_stream(train)
     data = batchify(stream, config.batch_size)
@@ -156,21 +166,31 @@ def train_lstm_lm(train: Corpus, valid: Corpus, vocab, config: LstmLmConfig) -> 
 
     lr = config.initial_lr
     best_nll = math.inf
-    best_params, best_log_probs = params.copy(), None
+    best_params = best_log_probs = None
     n_chunks = max(1, (data.shape[0] - 1 + config.bptt - 1) // config.bptt)
     check_every = max(1, n_chunks // 40)  # medtext103 validates ~40x per epoch
     last_check_nll = math.inf
     work: dict = {}  # the last step's arrays, see core.train_step
 
-    def validate() -> tuple[float, bool]:
+    def validate(final: bool) -> tuple[float, bool]:
         """Valid NLL of the live parameters; keep them and their per-note
-        log-probs when it is the best so far."""
+        log-probs when it is the best so far. The `final` check, the last
+        epoch's end, keeps the live parameters; any other fills the one kept
+        copy."""
         nonlocal best_nll, best_params, best_log_probs
         total, count, log_probs = batched_note_nll(params, valid_ids, model.eon_id)
         nll = total / count
         improved = nll < best_nll
         if improved:
-            best_nll, best_params, best_log_probs = nll, params.copy(), log_probs
+            best_nll, best_log_probs = nll, log_probs
+            if final:
+                best_params = params
+            elif best_params is None:
+                best_params = params.copy()
+            else:
+                for (_, kept), (_, live) in zip(best_params.named_arrays(),
+                                                params.named_arrays()):
+                    np.copyto(kept, live)
         return nll, improved
 
     for epoch in range(1, config.epochs + 1):
@@ -186,13 +206,17 @@ def train_lstm_lm(train: Corpus, valid: Corpus, vocab, config: LstmLmConfig) -> 
             epoch_loss += loss * x.size
             epoch_positions += x.size
 
+            nll = None  # the valid NLL of a check that no step has followed yet
             if config.lr_decay_policy == "medtext103" and (chunk_idx + 1) % check_every == 0:
-                nll, _ = validate()
+                nll, _ = validate(final=False)
                 if last_check_nll - nll < config.min_improvement:
                     lr = max(lr / 1.2, config.min_lr)
                 last_check_nll = nll
 
-        valid_nll, improved = validate()
+        if nll is None:
+            valid_nll, improved = validate(final=epoch == config.epochs)
+        else:  # a check on the epoch's last chunk already scored these parameters
+            valid_nll, improved = nll, False
         if not improved and config.lr_decay_policy == "medtext2":
             lr = lr / 4.0
         train_nll = epoch_loss / max(epoch_positions, 1)
@@ -205,6 +229,10 @@ def train_lstm_lm(train: Corpus, valid: Corpus, vocab, config: LstmLmConfig) -> 
         log.info("epoch %d: train ppl %.3f, valid ppl %.3f, lr %.4g",
                  epoch, math.exp(train_nll), math.exp(valid_nll), lr)
 
+    if best_params is None:
+        # init_stack is the seeded generator's first consumer, so these are
+        # the initial parameters bit for bit
+        best_params = init_params(np.random.default_rng(config.seed))
     # read-only, so the kept log-probs cannot go stale under an in-place write
     for _, arr in best_params.named_arrays():
         arr.flags.writeable = False

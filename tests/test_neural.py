@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -234,6 +235,16 @@ def test_kernel_matches_per_timestep_reference(case):
     for name, arr in named:
         assert arr.dtype == np.float64, name
         assert_rel_close(arr, ref_grads[name])
+
+    # written into a lent gradient set: the same bits, in the lent arrays
+    lent = grads.copy()
+    for _, arr in lent.named_arrays():
+        arr.fill(np.nan)
+    into = core.stack_backward(params, cache, ref_dlogits, out=lent)
+    for (name, arr), (_, lent_arr), (_, want) in zip(into.named_arrays(), lent.named_arrays(),
+                                                     named):
+        assert np.array_equal(arr, want), name
+        assert (arr is lent_arr) == (name != "emb"), name
 
 
 class TestForward:
@@ -537,6 +548,104 @@ class TestTrainLstm:
         assert min(lrs) == config.min_lr
         assert lrs[-1] == config.min_lr
         assert all(h["lr"] >= config.min_lr for h in model.history)
+
+    def test_medtext103_epoch_end_reuses_last_chunk_check(self, monkeypatch):
+        """A check on an epoch's last chunk serves as the epoch-end check too:
+        no step runs between them, so the parameters are scored once."""
+        corpus, vocab = repeated_sentence_corpus()
+        nlls = []
+        note_nll = language_model.batched_note_nll
+
+        def recording_valid(*args):
+            total, count, log_probs = note_nll(*args)
+            nlls.append(total / count)
+            return total, count, log_probs
+
+        monkeypatch.setattr(language_model, "batched_note_nll", recording_valid)
+        config = LstmLmConfig(hidden_size=4, layers=1, epochs=2, seed=3, initial_lr=1.0,
+                              batch_size=2, bptt=10, lr_decay_policy="medtext103")
+        model = train_lstm_lm(corpus, corpus, vocab, config)
+        # 11 chunks an epoch, each one checked (check_every 1), and no extra
+        # pass at either epoch end
+        assert len(nlls) == 22
+        lr, last_nll, epoch_ends = config.initial_lr, math.inf, []
+        for i, nll in enumerate(nlls):
+            if last_nll - nll < config.min_improvement:
+                lr = max(lr / 1.2, config.min_lr)
+            last_nll = nll
+            if i % 11 == 10:
+                epoch_ends.append({"lr": lr, "valid_ppl": math.exp(nll)})
+        assert [{k: h[k] for k in ("lr", "valid_ppl")} for h in model.history] == epoch_ends
+
+    def test_parameters_copied_at_most_once(self, monkeypatch):
+        """Training keeps one copy of the parameters at most, filled in place
+        at each improving check, and none when only the last check improves."""
+        corpus, vocab = repeated_sentence_corpus()
+        valid = random_valid_corpus(vocab)
+        copies = []
+        stack_copy = core.StackParams.copy
+
+        def counting_copy(params):
+            copies.append(params)
+            return stack_copy(params)
+
+        monkeypatch.setattr(core.StackParams, "copy", counting_copy)
+
+        def train(epochs):
+            copies.clear()
+            config = LstmLmConfig(hidden_size=8, layers=2, epochs=epochs, seed=0,
+                                  initial_lr=3.0, batch_size=2, bptt=10)
+            model = train_lstm_lm(corpus, valid, vocab, config)
+            return len(copies), model
+
+        assert train(1)[0] == 0
+        n_copies, three = train(3)
+        ppls = [h["valid_ppl"] for h in three.history]
+        assert ppls[0] > ppls[1] > ppls[2]  # every epoch improves
+        assert n_copies == 1
+        # the fourth epoch does not improve: the copy holds the third's parameters
+        n_copies, four = train(4)
+        assert four.history[:3] == three.history and four.history[3]["valid_ppl"] > ppls[2]
+        assert n_copies == 1
+        for (_, kept), (_, third) in zip(four.params.named_arrays(), three.params.named_arrays()):
+            assert np.array_equal(kept, third)
+
+    def test_no_improving_check_keeps_initial_parameters(self, monkeypatch):
+        corpus, vocab = repeated_sentence_corpus()
+        note_nll = language_model.batched_note_nll
+
+        def nan_total(*args):
+            _, count, log_probs = note_nll(*args)
+            return math.nan, count, log_probs
+
+        monkeypatch.setattr(language_model, "batched_note_nll", nan_total)
+        config = LstmLmConfig(hidden_size=8, layers=2, epochs=2, seed=4, initial_lr=1.0,
+                              batch_size=2, bptt=10)
+        model = train_lstm_lm(corpus, corpus, vocab, config)
+        initial = core.init_stack(np.random.default_rng(config.seed), model.vocab_size, 8, 8, 2)
+        assert model._kept_valid is None
+        for (_, kept), (_, init) in zip(model.params.named_arrays(), initial.named_arrays()):
+            assert np.array_equal(kept, init)
+            assert not kept.flags.writeable
+
+    def test_training_memory_peak(self):
+        """A one-epoch training holds the live parameters and one gradient set,
+        and no kept copy: its traced peak stays within three times the
+        parameter bytes (4.1 times when the set-up and the check each copied
+        the parameters and two gradient sets overlapped)."""
+        corpus, vocab = repeated_sentence_corpus()
+        config = LstmLmConfig(hidden_size=256, layers=2, epochs=1, seed=0, initial_lr=1.0,
+                              batch_size=2, bptt=10)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            model = train_lstm_lm(corpus, corpus, vocab, config)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        param_bytes = sum(arr.nbytes for _, arr in model.params.named_arrays())
+        assert peak <= 3 * param_bytes
 
     def test_history_and_lr_policy(self):
         corpus, vocab = repeated_sentence_corpus()
