@@ -329,19 +329,19 @@ def write_corpus(corpus: Corpus, path: str | Path) -> None:
     Path(path).write_text(corpus_text(corpus), encoding="utf-8")
 
 
-def read_corpus(path: str | Path, role: str = "train", id_prefix: str = "note") -> Corpus:
+def read_corpus(path: str | Path, role: str = "train") -> Corpus:
     """Read a canonical corpus file; ids are positional (note-00000, ...)."""
     text = Path(path).read_text(encoding="utf-8")
     notes = []
     for i, block in enumerate(text.strip("\n").split("\n\n")):
         sentences = tuple(tuple(line.split(" ")) for line in block.split("\n") if line)
-        notes.append(Note(f"{id_prefix}-{i:05d}", sentences))
+        notes.append(Note(f"note-{i:05d}", sentences))
     if not notes:
         raise ValueError(f"no notes in {path}")
     return Corpus(tuple(notes), role)
 
 
-def read_raw_corpus(path: str | Path, role: str = "train", id_prefix: str = "note") -> Corpus:
+def read_raw_corpus(path: str | Path) -> Corpus:
     """Read a raw note file (blank-line note delimiting, arbitrary internal
     line structure) and normalize every note; empty notes are skipped."""
     text = Path(path).read_text(encoding="utf-8")
@@ -358,13 +358,13 @@ def read_raw_corpus(path: str | Path, role: str = "train", id_prefix: str = "not
     notes = []
     for block in blocks:
         try:
-            note = normalize_raw_note(block, note_id=f"{id_prefix}-{len(notes):05d}")
+            note = normalize_raw_note(block, note_id=f"note-{len(notes):05d}")
         except EmptyNoteError:
             continue
         notes.append(note)
     if not notes:
         raise ValueError(f"no usable notes in {path}")
-    return Corpus(tuple(notes), role)
+    return Corpus(tuple(notes))
 
 
 def write_vocab(vocab: Vocabulary, path: str | Path) -> None:

@@ -5,7 +5,7 @@ against gold ratings)."""
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -177,11 +177,7 @@ def train_sgns(corpus: Corpus, config: SgnsConfig = SgnsConfig()) -> EmbeddingSe
     return EmbeddingSet(
         words=tuple(words),
         matrix=w_in,
-        config={
-            "dim": config.dim, "window": config.window, "negatives": config.negatives,
-            "iterations": config.iterations, "min_count": config.min_count,
-            "seed": config.seed,
-        },
+        config=asdict(config),
     )
 
 

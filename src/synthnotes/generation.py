@@ -53,8 +53,7 @@ def sample_from_distribution(dists: np.ndarray, temperature: float,
     return (cdf <= u[:, None]).sum(axis=1)  # searchsorted(side="right") per row
 
 
-def generate_corpus(model: LanguageModel, config: GenerationConfig,
-                    id_prefix: str = "gen") -> Corpus:
+def generate_corpus(model: LanguageModel, config: GenerationConfig) -> Corpus:
     """Sample a synthetic corpus; the model is consumed read-only."""
     if model.eon_id is None:
         raise ValueError(
@@ -78,8 +77,7 @@ def generate_corpus(model: LanguageModel, config: GenerationConfig,
                 prev[stream] = eon  # force-close a degenerate note at a boundary
             elif not current:
                 continue  # never emit an empty note
-            notes.append(Note(f"{id_prefix}-{len(notes):05d}",
-                              tuple(split_sentences(current))))
+            notes.append(Note(f"gen-{len(notes):05d}", tuple(split_sentences(current))))
             words += len(current)
             if words >= config.target_word_count:
                 return Corpus(tuple(notes), role="train")

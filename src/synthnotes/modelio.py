@@ -15,7 +15,12 @@ Layout (all integers little-endian):
               fixed training order: emb, then per layer wx/wh/b, then the
               output bias (plus out_w before it when untied). Loading casts
               the tensors to the config's dtype; float32 survives the
-              float64 round trip exactly.
+              float64 round trip exactly. Loading drops grad_clip, min_lr
+              and min_improvement, training-only keys of older records.
+
+Loading raises ModelFormatError for an LSTM config record that LstmLmConfig
+rejects (any other unknown key, a mistyped or out-of-range value), for tensor
+names out of the order above, and for bytes after the last block.
 """
 
 from __future__ import annotations
@@ -33,6 +38,9 @@ from .neural.core import StackParams
 
 MAGIC = b"PTLM"
 FORMAT_VERSION = 1
+# training-only LSTM settings, now language_model constants, that older
+# records hold; loading drops them
+RETIRED_LSTM_KEYS = frozenset({"grad_clip", "min_lr", "min_improvement"})
 
 
 class ModelFormatError(ValueError):
@@ -127,6 +135,23 @@ def _read_tensors(r: _Reader, dtype) -> list[tuple[str, np.ndarray]]:
     return tensors
 
 
+def _read_lstm(r: _Reader, tokens, path) -> LstmLmModel:
+    record = json.loads(r.string("I"))
+    try:  # an unknown key or a mistyped value is a TypeError, a bad value a ValueError
+        config = LstmLmConfig(**{k: v for k, v in record.items() if k not in RETIRED_LSTM_KEYS})
+    except (TypeError, ValueError) as err:
+        raise ModelFormatError(f"{path}: bad LSTM config record: {err}") from None
+    tensors = _read_tensors(r, config.np_dtype)
+    try:
+        params = StackParams.from_named_arrays(tensors)
+    except KeyError as err:
+        raise ModelFormatError(f"{path}: no tensor {err}") from None
+    if ([name for name, _ in params.named_arrays()] != [name for name, _ in tensors]
+            or params.tied != config.tied_embeddings):
+        raise ModelFormatError(f"{path}: tensors do not match the config")
+    return LstmLmModel(tokens, config, params)
+
+
 def load_model(path: str | Path) -> LanguageModel:
     r = _Reader(Path(path).read_bytes())
     if r.take(4) != MAGIC:
@@ -139,17 +164,17 @@ def load_model(path: str | Path) -> LanguageModel:
     tokens = tuple(r.string() for _ in range(n_tokens))
 
     if kind == "unigram":
-        return UnigramModel(tokens, np.frombuffer(r.take(n_tokens * 8), dtype="<u8"))
-    if kind == "bigram":
+        model = UnigramModel(tokens, np.frombuffer(r.take(n_tokens * 8), dtype="<u8"))
+    elif kind == "bigram":
         rows = {}
         for _ in range(r.unpack("Q")):
             ctx, n_entries = r.unpack("QQ")
             rows[ctx] = dict(r.unpack("QQ") for _ in range(n_entries))
-        return BigramModel(tokens, rows)
-    if kind == "lstm-lm":
-        config = LstmLmConfig(**json.loads(r.string("I")))
-        params = StackParams.from_named_arrays(_read_tensors(r, config.np_dtype))
-        if params.tied != config.tied_embeddings:
-            raise ModelFormatError(f"{path}: output tensor does not match the config")
-        return LstmLmModel(tokens, config, params)
-    raise ModelFormatError(f"{path}: unknown model kind {kind!r}")
+        model = BigramModel(tokens, rows)
+    elif kind == "lstm-lm":
+        model = _read_lstm(r, tokens, path)
+    else:
+        raise ModelFormatError(f"{path}: unknown model kind {kind!r}")
+    if r.pos != len(r.blob):
+        raise ModelFormatError(f"{path}: {len(r.blob) - r.pos} bytes after the last block")
+    return model

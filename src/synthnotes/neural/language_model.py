@@ -12,9 +12,9 @@ once. A model reloaded from its file keeps nothing and recomputes.
 
 Besides the live parameters, training holds one copy of them at most: the
 kept parameters, filled in place at each improving check. The last check,
-at the final epoch's end, keeps the live parameters themselves. One set of
-gradients exists at a time, because `core.train_step` lends each step the
-previous step's gradient arrays through its `work` dict.
+on the final epoch's last chunk, keeps the live parameters themselves. One
+set of gradients exists at a time, because `core.train_step` lends each
+step the previous step's gradient arrays through its `work` dict.
 """
 
 from __future__ import annotations
@@ -33,6 +33,9 @@ log = logging.getLogger(__name__)
 
 LR_POLICIES = ("medtext2", "medtext103")
 DTYPES = ("float32", "float64")
+GRAD_CLIP = 0.25  # global gradient-norm clip of every step
+MIN_LR = 0.1  # medtext103's lr floor
+MIN_IMPROVEMENT = 0.1  # the valid-NLL gain since the last medtext103 check that keeps the lr
 
 
 @dataclass(frozen=True)
@@ -43,13 +46,10 @@ class LstmLmConfig:
     initial_lr: float = 20.0
     lr_decay_policy: str = "medtext2"
     epochs: int = 20
-    grad_clip: float = 0.25
     bptt: int = 35
     batch_size: int = 20
     tied_embeddings: bool = True
     seed: int = 0
-    min_lr: float = 0.1          # floor applied by the medtext103 policy
-    min_improvement: float = 0.1  # medtext103 plateau threshold (valid NLL)
     # "float64" is the conformance dtype. A generation step at 16 streams
     # (model step plus sampling) took 9.0 us per token in float32 against
     # 12.9 us in float64 (H=48, V=493, one BLAS thread, 2-core Xeon)
@@ -167,16 +167,16 @@ def train_lstm_lm(train: Corpus, valid: Corpus, vocab, config: LstmLmConfig) -> 
     lr = config.initial_lr
     best_nll = math.inf
     best_params = best_log_probs = None
-    n_chunks = max(1, (data.shape[0] - 1 + config.bptt - 1) // config.bptt)
-    check_every = max(1, n_chunks // 40)  # medtext103 validates ~40x per epoch
+    chunks = list(bptt_chunks(data, config.bptt))
+    check_every = max(1, len(chunks) // 40)  # medtext103 validates ~40x per epoch
     last_check_nll = math.inf
     work: dict = {}  # the last step's arrays, see core.train_step
 
     def validate(final: bool) -> tuple[float, bool]:
         """Valid NLL of the live parameters; keep them and their per-note
         log-probs when it is the best so far. The `final` check, the last
-        epoch's end, keeps the live parameters; any other fills the one kept
-        copy."""
+        epoch's last chunk, keeps the live parameters; any other fills the
+        one kept copy."""
         nonlocal best_nll, best_params, best_log_probs
         total, count, log_probs = batched_note_nll(params, valid_ids, model.eon_id)
         nll = total / count
@@ -197,26 +197,25 @@ def train_lstm_lm(train: Corpus, valid: Corpus, vocab, config: LstmLmConfig) -> 
         state = core.zero_state(params, config.batch_size)
         epoch_loss = 0.0
         epoch_positions = 0
-        for chunk_idx, (x, y) in enumerate(bptt_chunks(data, config.bptt)):
+        for chunk_idx, (x, y) in enumerate(chunks):
             masks = core.make_dropout_masks(rng, config.dropout, x.shape[0],
                                             config.batch_size, params)
-            loss, state = core.train_step(params, x, y, state, lr, config.grad_clip,
+            loss, state = core.train_step(params, x, y, state, lr, GRAD_CLIP,
                                           f"at epoch {epoch}, chunk {chunk_idx}", work,
                                           masks, reset_mask=(x == model.eon_id))
             epoch_loss += loss * x.size
             epoch_positions += x.size
 
-            nll = None  # the valid NLL of a check that no step has followed yet
-            if config.lr_decay_policy == "medtext103" and (chunk_idx + 1) % check_every == 0:
-                nll, _ = validate(final=False)
-                if last_check_nll - nll < config.min_improvement:
-                    lr = max(lr / 1.2, config.min_lr)
-                last_check_nll = nll
+            # a medtext103 check and the epoch's end share one validation
+            check = config.lr_decay_policy == "medtext103" and (chunk_idx + 1) % check_every == 0
+            last = chunk_idx == len(chunks) - 1
+            if check or last:
+                valid_nll, improved = validate(final=last and epoch == config.epochs)
+            if check:
+                if last_check_nll - valid_nll < MIN_IMPROVEMENT:
+                    lr = max(lr / 1.2, MIN_LR)
+                last_check_nll = valid_nll
 
-        if nll is None:
-            valid_nll, improved = validate(final=epoch == config.epochs)
-        else:  # a check on the epoch's last chunk already scored these parameters
-            valid_nll, improved = nll, False
         if not improved and config.lr_decay_policy == "medtext2":
             lr = lr / 4.0
         train_nll = epoch_loss / max(epoch_positions, 1)

@@ -282,8 +282,7 @@ class TemplateBundle:
     nli_test: Path
 
 
-def write_template_bundle(seed: int, note_count: int, outdir: str | Path,
-                          nli_train_count: int = 600, nli_test_count: int = 180) -> TemplateBundle:
+def write_template_bundle(seed: int, note_count: int, outdir: str | Path) -> TemplateBundle:
     """Write the raw corpus, both word-pair benchmarks and the NLI splits."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -297,6 +296,6 @@ def write_template_bundle(seed: int, note_count: int, outdir: str | Path,
     bundle.raw_corpus.write_text(make_template_corpus(seed, note_count), encoding="utf-8")
     write_benchmark(make_similarity_benchmark(), bundle.benchmark_sim)
     write_benchmark(make_relatedness_benchmark(), bundle.benchmark_rel)
-    write_nli_jsonl(make_nli_examples(seed + 1, nli_train_count), bundle.nli_train)
-    write_nli_jsonl(make_nli_examples(seed + 2, nli_test_count), bundle.nli_test)
+    write_nli_jsonl(make_nli_examples(seed + 1, 600), bundle.nli_train)
+    write_nli_jsonl(make_nli_examples(seed + 2, 180), bundle.nli_test)
     return bundle

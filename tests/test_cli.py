@@ -258,6 +258,17 @@ class TestExitCodes:
     def test_missing_file_is_config_error(self, workdir, capsys):
         assert run("perplexity", "--model", "missing.ptlm", "--corpus", "nope.txt") == EXIT_CONFIG
 
+    def test_malformed_model_file_is_config_error(self, workdir, capsys):
+        run("template", "--seed", "1", "--notes", "40", "--outdir", "t")
+        run("preprocess", "--input", "t/notes.txt", "--outdir", "c", "--seed", "2",
+            "--min-count", "2")
+        assert run("train-lm", "--kind", "unigram", "--train", "c/train.txt",
+                   "--vocab", "c/vocab.tsv", "--out", "uni.ptlm") == EXIT_OK
+        (workdir / "bad.ptlm").write_bytes((workdir / "uni.ptlm").read_bytes() + b"\x00")
+        capsys.readouterr()
+        assert run("perplexity", "--model", "bad.ptlm", "--corpus", "c/valid.txt") == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+
     def test_experiment_missing_config_file(self, workdir, capsys):
         assert run("experiment", "--config", "nope.ini") == EXIT_CONFIG
 

@@ -1,12 +1,14 @@
 import configparser
 import json
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import pytest
 
+from synthnotes import cli
 from synthnotes.embeddings import SgnsConfig
 from synthnotes.experiment import (
+    _COMPONENTS,
     _INI_TABLE,
     _PATH_FIELDS,
     ExperimentConfig,
@@ -149,6 +151,26 @@ temperature = 0.9
         assert echo["generation"] == {"temperature": 1.0, "max_note_length": 2000}
         assert echo["grid"] == ("unigram", "lstm:0.0", "lstm:0.5")
         json.dumps(echo)
+
+    def test_every_component_field_has_a_caller(self):
+        """A component config field exists only where a caller sets it: an
+        INI key, a CLI flag, or the run itself (stage seeds, the grid cell's
+        dropout, the train split's word count). A value only tests set is a
+        module constant instead."""
+        set_by = {entry for keys in _INI_TABLE.values() for entry in keys.values()}
+        flag_tables = {"lstm": [cli._LSTM_FLAGS], "sgns": [cli._SGNS_FLAGS, cli._NLI_SGNS_FLAGS],
+                       "nli": [cli._NLI_FLAGS], "truecase": [cli._CASE_FLAGS]}
+        set_by |= {(component, name) for component, tables in flag_tables.items()
+                   for table in tables for name in table.values()}
+        set_by |= {(component, name) for component in _COMPONENTS
+                   for name in ("seed", "dropout", "target_word_count")}
+        # perfbench's paper-shape workload passes tied_embeddings
+        set_by.add(("lstm", "tied_embeddings"))
+        defaults = ExperimentConfig()
+        unset = [(component, f.name) for component in _COMPONENTS
+                 for f in fields(getattr(defaults, component))
+                 if (component, f.name) not in set_by]
+        assert unset == []
 
 
 class TestRunExperiment:

@@ -1,5 +1,7 @@
 import dataclasses
 import hashlib
+import json
+import struct
 
 import numpy as np
 import pytest
@@ -19,6 +21,23 @@ def fixture_corpus():
 
 def fixture_vocab():
     return Vocabulary(tokens=(UNK_TOKEN, EON_TOKEN, "a", "b", "c", "."))
+
+
+def small_lstm():
+    config = LstmLmConfig(hidden_size=8, layers=1, epochs=1, seed=1, initial_lr=1.0,
+                          batch_size=2, bptt=5)
+    return train_lstm_lm(fixture_corpus(), fixture_corpus(), fixture_vocab(), config)
+
+
+def with_config_record(blob: bytes, config, record: dict) -> bytes:
+    """`blob` with the LSTM config record of `config` replaced by `record`."""
+    def packed(rec):
+        raw = json.dumps(rec, sort_keys=True).encode("utf-8")
+        return struct.pack("<I", len(raw)) + raw
+
+    old = packed(dataclasses.asdict(config))
+    assert blob.count(old) == 1
+    return blob.replace(old, packed(record))
 
 
 class TestRoundtrip:
@@ -125,11 +144,54 @@ class TestValidation:
             load_model(path)
 
     def test_head_not_matching_config_rejected(self, tmp_path):
-        config = LstmLmConfig(hidden_size=8, layers=1, epochs=1, seed=1, initial_lr=1.0,
-                              batch_size=2, bptt=5)
-        model = train_lstm_lm(fixture_corpus(), fixture_corpus(), fixture_vocab(), config)
-        model.config = dataclasses.replace(config, tied_embeddings=False)  # no out_w tensor
+        model = small_lstm()
+        model.config = dataclasses.replace(model.config, tied_embeddings=False)  # no out_w
         path = tmp_path / "m.ptlm"
         save_model(model, path)
-        with pytest.raises(ModelFormatError):
+        with pytest.raises(ModelFormatError, match="tensors do not match"):
             load_model(path)
+
+    @pytest.mark.parametrize("entry", [{"bogus": 1}, {"layers": "1"}, {"dropout": 1.5}],
+                             ids=["unknown-key", "mistyped", "out-of-range"])
+    def test_bad_lstm_config_record_rejected(self, tmp_path, entry):
+        model = small_lstm()
+        record = {**dataclasses.asdict(model.config), **entry}
+        path = tmp_path / "m.ptlm"
+        path.write_bytes(with_config_record(model_bytes(model), model.config, record))
+        with pytest.raises(ModelFormatError, match="bad LSTM config record"):
+            load_model(path)
+
+    @pytest.mark.parametrize("name,renamed", [(b"out_b", b"out_x"), (b"l0.wx", b"l0.wy")])
+    def test_renamed_tensor_rejected(self, tmp_path, name, renamed):
+        blob = model_bytes(small_lstm())
+        assert blob.count(struct.pack("<H", 5) + name) == 1
+        path = tmp_path / "m.ptlm"
+        path.write_bytes(blob.replace(struct.pack("<H", 5) + name,
+                                      struct.pack("<H", 5) + renamed))
+        with pytest.raises(ModelFormatError, match="tensor"):
+            load_model(path)
+
+    @pytest.mark.parametrize("factory", [
+        lambda: train_unigram(fixture_corpus(), fixture_vocab()),
+        lambda: train_bigram(fixture_corpus(), fixture_vocab()),
+        small_lstm,
+    ], ids=["unigram", "bigram", "lstm"])
+    def test_trailing_bytes_rejected(self, tmp_path, factory):
+        path = tmp_path / "m.ptlm"
+        path.write_bytes(model_bytes(factory()) + b"\x00")
+        with pytest.raises(ModelFormatError, match="1 bytes after the last block"):
+            load_model(path)
+
+
+def test_record_with_retired_training_keys_loads(tmp_path):
+    """An LSTM file written while grad_clip, min_lr and min_improvement were
+    config fields loads, drops them, and scores as the model it was saved from."""
+    model = small_lstm()
+    record = {**dataclasses.asdict(model.config),
+              "grad_clip": 0.25, "min_lr": 0.1, "min_improvement": 0.1}
+    path = tmp_path / "old.ptlm"
+    path.write_bytes(with_config_record(model_bytes(model), model.config, record))
+    back = load_model(path)
+    assert back.config == model.config
+    assert model_bytes(back) == model_bytes(model)
+    assert perplexity(back, fixture_corpus()) == perplexity(model, fixture_corpus())

@@ -509,10 +509,11 @@ class TestTrainLstm:
         model = train_lstm_lm(corpus, corpus, vocab, config)
         assert model.params.out_w is None
 
-    def test_divergence_reported_with_location(self):
+    def test_divergence_reported_with_location(self, monkeypatch):
         corpus, vocab = repeated_sentence_corpus()
+        monkeypatch.setattr(language_model, "GRAD_CLIP", 1e18)
         config = LstmLmConfig(hidden_size=8, layers=2, epochs=2, seed=0,
-                              initial_lr=1e18, grad_clip=1e18, batch_size=2, bptt=10)
+                              initial_lr=1e18, batch_size=2, bptt=10)
         with pytest.raises(DivergenceError, match="epoch"):
             train_lstm_lm(corpus, corpus, vocab, config)
 
@@ -533,10 +534,11 @@ class TestTrainLstm:
         monkeypatch.setattr(core, "sgd_step", recording_step)
         monkeypatch.setattr(language_model, "batched_note_nll", counting_valid)
         epochs = 2
-        # min_improvement above any achievable gain: every check decays the lr
+        # MIN_IMPROVEMENT above any achievable gain: every check decays the lr
+        monkeypatch.setattr(language_model, "MIN_LR", 0.5)
+        monkeypatch.setattr(language_model, "MIN_IMPROVEMENT", 1e9)
         config = LstmLmConfig(hidden_size=4, layers=1, epochs=epochs, seed=3, initial_lr=1.0,
-                              min_lr=0.5, min_improvement=1e9, batch_size=2, bptt=1,
-                              lr_decay_policy="medtext103")
+                              batch_size=2, bptt=1, lr_decay_policy="medtext103")
         model = train_lstm_lm(corpus, corpus, vocab, config)
         n_chunks = len(lrs) // epochs
         assert n_chunks > 80  # so that checks are spaced more than one chunk apart
@@ -545,9 +547,9 @@ class TestTrainLstm:
         # n_chunks // check_every in-epoch checks plus one at each epoch end
         assert len(valid_calls) == epochs * (n_chunks // check_every + 1)
         assert valid_calls[0] == check_every
-        assert min(lrs) == config.min_lr
-        assert lrs[-1] == config.min_lr
-        assert all(h["lr"] >= config.min_lr for h in model.history)
+        assert min(lrs) == language_model.MIN_LR
+        assert lrs[-1] == language_model.MIN_LR
+        assert all(h["lr"] >= language_model.MIN_LR for h in model.history)
 
     def test_medtext103_epoch_end_reuses_last_chunk_check(self, monkeypatch):
         """A check on an epoch's last chunk serves as the epoch-end check too:
@@ -570,8 +572,8 @@ class TestTrainLstm:
         assert len(nlls) == 22
         lr, last_nll, epoch_ends = config.initial_lr, math.inf, []
         for i, nll in enumerate(nlls):
-            if last_nll - nll < config.min_improvement:
-                lr = max(lr / 1.2, config.min_lr)
+            if last_nll - nll < language_model.MIN_IMPROVEMENT:
+                lr = max(lr / 1.2, language_model.MIN_LR)
             last_nll = nll
             if i % 11 == 10:
                 epoch_ends.append({"lr": lr, "valid_ppl": math.exp(nll)})
