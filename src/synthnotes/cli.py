@@ -43,7 +43,7 @@ from .utility import (
     TruecaserConfig,
     evaluate_nli,
     evaluate_truecase,
-    read_case_pairs,
+    make_case_pairs,
     read_nli_jsonl,
     train_nli_bow,
     train_truecaser,
@@ -119,8 +119,6 @@ def cmd_template(args) -> int:
 
 def cmd_preprocess(args) -> int:
     full = corpus_mod.read_raw_corpus(args.input)
-    if args.lowercase:
-        full = corpus_mod.lowercase_corpus(full)
     fractions = tuple(float(tok) for tok in args.fractions.split(","))
     train, valid, test = corpus_mod.split_corpus(full, fractions, args.seed)
     outdir = _outdir(args.outdir)
@@ -130,7 +128,7 @@ def cmd_preprocess(args) -> int:
         unked = corpus_mod.apply_unk(split, vocab)
         corpus_mod.write_corpus(unked, outdir / f"{split.role}.txt")
     corpus_mod.write_vocab(vocab, outdir / "vocab.tsv")
-    # case-preserving copies keep the truecasing task possible after unk
+    # the test split before unk keeps every cased token for eval-case --test-cased
     corpus_mod.write_corpus(test, outdir / "test.cased.txt")
     print(f"wrote train/valid/test splits and vocab ({len(vocab)} entries) to {outdir}")
     return EXIT_OK
@@ -219,9 +217,7 @@ def cmd_eval_nli(args) -> int:
 
 def cmd_eval_case(args) -> int:
     train = corpus_mod.read_corpus(args.train, "train")
-    cased = corpus_mod.read_corpus(args.test_cased, "test")
-    lowered = corpus_mod.read_corpus(args.test_lowered, "test")
-    pairs = read_case_pairs(cased, lowered)
+    pairs = make_case_pairs(corpus_mod.read_corpus(args.test_cased, "test"))
     caser = train_truecaser(train, _flag_config(args, _CASE_FLAGS, TruecaserConfig))
     print(f"case F1 {evaluate_truecase(caser, pairs):.4f}")
     return EXIT_OK
@@ -240,6 +236,12 @@ def cmd_experiment(args) -> int:
 
 def cmd_report(args) -> int:
     data = json.loads(Path(args.report).read_text(encoding="utf-8"))
+    if not (isinstance(data, dict) and {"rows", "stats", "config"} <= data.keys()
+            and isinstance(data["rows"], list)):
+        raise ValueError(f"{args.report}: not an object with rows, stats and config")
+    fields = {f.name for f in dataclasses.fields(ReportRow)}
+    if not all(isinstance(row, dict) and row.keys() == fields for row in data["rows"]):
+        raise ValueError(f"{args.report}: a row's keys are not {', '.join(sorted(fields))}")
     rows = tuple(ReportRow(**row) for row in data["rows"])
     report = ExperimentReport(rows=rows, stats=data["stats"], config=data["config"],
                               artifacts=data.get("artifacts", {}))
@@ -266,7 +268,6 @@ def build_parser() -> _Parser:
     p.add_argument("--fractions", default="0.8,0.1,0.1")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--min-count", type=int, default=3)
-    p.add_argument("--lowercase", action="store_true")
     p.set_defaults(fn=cmd_preprocess)
 
     p = sub.add_parser("stats", help="dataset statistics table")
@@ -336,7 +337,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("eval-case", help="train a truecaser and score case restoration")
     p.add_argument("--train", required=True)
     p.add_argument("--test-cased", required=True)
-    p.add_argument("--test-lowered", required=True)
     _add_config_flags(p, _CASE_FLAGS, TruecaserConfig)
     p.set_defaults(fn=cmd_eval_case)
 

@@ -391,11 +391,3 @@ def read_vocab(path: str | Path) -> Vocabulary:
             counts[tok] = int(count)
     return Vocabulary(tokens=tuple(tokens), counts=counts, min_count=min_count)
 
-
-def lowercase_corpus(corpus: Corpus) -> Corpus:
-    """Case-folded copy; used by the letter-case restoration task."""
-    notes = tuple(
-        Note(n.id, tuple(tuple(tok.lower() for tok in sent) for sent in n.sentences))
-        for n in corpus.notes
-    )
-    return Corpus(notes, corpus.role)

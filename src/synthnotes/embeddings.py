@@ -235,8 +235,13 @@ def read_benchmark(path: str | Path, name: str | None = None) -> SimilarityBench
         header = next(reader, None)
         if header is None or [h.strip() for h in header] != ["word1", "word2", "score"]:
             raise ValueError(f"{path}: expected header 'word1,word2,score'")
-        pairs = tuple((row[0], row[1], float(row[2])) for row in reader if row)
-    return SimilarityBenchmark(name or path.stem, pairs)
+        pairs = []
+        for row in filter(None, reader):  # skips blank lines
+            if len(row) != 3:
+                raise ValueError(f"{path}: line {reader.line_num}: expected 3 fields, "
+                                 f"got {len(row)}")
+            pairs.append((row[0], row[1], float(row[2])))
+    return SimilarityBenchmark(name or path.stem, tuple(pairs))
 
 
 def write_benchmark(bench: SimilarityBenchmark, path: str | Path) -> None:
@@ -261,7 +266,9 @@ def read_embeddings(path: str | Path) -> EmbeddingSet:
         words = []
         rows = np.empty((count, dim))
         for i in range(count):
-            parts = fh.readline().rstrip("\n").split(" ")
+            parts = fh.readline().split()
+            if len(parts) != dim + 1:
+                raise ValueError(f"{path}: line {i + 2}: expected a word and {dim} values")
             words.append(parts[0])
-            rows[i] = [float(v) for v in parts[1 : dim + 1]]
+            rows[i] = [float(v) for v in parts[1:]]
     return EmbeddingSet(words=tuple(words), matrix=rows)

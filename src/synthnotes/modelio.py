@@ -137,6 +137,8 @@ def _read_tensors(r: _Reader, dtype) -> list[tuple[str, np.ndarray]]:
 
 def _read_lstm(r: _Reader, tokens, path) -> LstmLmModel:
     record = json.loads(r.string("I"))
+    if not isinstance(record, dict):
+        raise ModelFormatError(f"{path}: bad LSTM config record: not a JSON object")
     try:  # an unknown key or a mistyped value is a TypeError, a bad value a ValueError
         config = LstmLmConfig(**{k: v for k, v in record.items() if k not in RETIRED_LSTM_KEYS})
     except (TypeError, ValueError) as err:

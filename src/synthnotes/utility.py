@@ -132,10 +132,14 @@ def evaluate_nli(clf: NliBowClassifier, test: list[NliExample]) -> float:
 def read_nli_jsonl(path: str | Path) -> list[NliExample]:
     """JSON-lines with fields premise, hypothesis, label."""
     examples = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for n, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         if not line.strip():
             continue
         obj = json.loads(line)
+        if not (isinstance(obj, dict) and all(isinstance(obj.get(k), str)
+                                              for k in ("premise", "hypothesis", "label"))):
+            raise ValueError(f"{path}: line {n}: expected an object with string "
+                             "premise, hypothesis and label")
         examples.append(NliExample(
             premise=tuple(obj["premise"].split()),
             hypothesis=tuple(obj["hypothesis"].split()),
@@ -217,15 +221,6 @@ def make_case_pairs(corpus: Corpus) -> list[CasePair]:
         for sent in note.sentences:
             pairs.append(CasePair(cased=sent, lowered=tuple(t.lower() for t in sent)))
     return pairs
-
-
-def read_case_pairs(cased_corpus: Corpus, lowered_corpus: Corpus) -> list[CasePair]:
-    """Sentence-aligned pairs from two parallel corpora."""
-    cased = [s for n in cased_corpus for s in n.sentences]
-    lowered = [s for n in lowered_corpus for s in n.sentences]
-    if len(cased) != len(lowered):
-        raise ValueError("cased and lowered corpora have different sentence counts")
-    return [CasePair(cased=c, lowered=l) for c, l in zip(cased, lowered)]
 
 
 def train_truecaser(train: Corpus, config: TruecaserConfig = TruecaserConfig()) -> Truecaser:

@@ -1,6 +1,8 @@
+import dataclasses
 import json
 import logging
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -10,8 +12,9 @@ from synthnotes.cli import EXIT_CONFIG, EXIT_OK, EXIT_STAGE, main
 from synthnotes.embeddings import SgnsConfig, read_embeddings, train_sgns
 from synthnotes.generation import GenerationConfig, generate_corpus
 from synthnotes.privacy import json_text
-from synthnotes.utility import (NliConfig, TruecaserConfig, evaluate_nli,
-                                read_nli_jsonl, train_nli_bow)
+from synthnotes.utility import (NliConfig, TruecaserConfig, evaluate_nli, evaluate_truecase,
+                                make_case_pairs, read_nli_jsonl, train_nli_bow,
+                                train_truecaser)
 
 
 @pytest.fixture
@@ -211,18 +214,18 @@ class TestPipeline:
         run("template", "--seed", "1", "--notes", "30", "--outdir", "t")
         run("preprocess", "--input", "t/notes.txt", "--outdir", "c", "--seed", "2",
             "--min-count", "2")
-        run("preprocess", "--input", "t/notes.txt", "--outdir", "cl", "--seed", "2",
-            "--min-count", "2", "--lowercase")
-        assert run("eval-case", "--train", "c/train.txt",
-                   "--test-cased", "c/test.cased.txt", "--test-lowered", "cl/test.cased.txt",
+        capsys.readouterr()
+        assert run("eval-case", "--train", "c/train.txt", "--test-cased", "c/test.cased.txt",
                    "--hidden", "12", "--epochs", "1", "--seed", "0") == EXIT_OK
-        assert "case F1" in capsys.readouterr().out
+        caser = train_truecaser(corpus_mod.read_corpus("c/train.txt"),
+                                TruecaserConfig(hidden=12, epochs=1, seed=0))
+        f1 = evaluate_truecase(caser, make_case_pairs(corpus_mod.read_corpus("c/test.cased.txt")))
+        assert capsys.readouterr().out == f"case F1 {f1:.4f}\n"
 
     def test_eval_flags_reach_their_configs(self, workdir, monkeypatch):
         run("template", "--seed", "1", "--notes", "30", "--outdir", "t")
-        for outdir, lower in (("c", ()), ("cl", ("--lowercase",))):
-            run("preprocess", "--input", "t/notes.txt", "--outdir", outdir, "--seed", "2",
-                "--min-count", "2", *lower)
+        run("preprocess", "--input", "t/notes.txt", "--outdir", "c", "--seed", "2",
+            "--min-count", "2")
         configs = {}
 
         class Reached(Exception):
@@ -244,8 +247,7 @@ class TestPipeline:
                 "--corpus", "c/train.txt", "--dim", "16", "--epochs", "2", "--seed", "5")
         with pytest.raises(Reached):
             run("eval-case", "--train", "c/train.txt", "--test-cased", "c/test.cased.txt",
-                "--test-lowered", "cl/test.cased.txt", "--hidden", "12", "--epochs", "3",
-                "--seed", "6", "--max-sentences", "40")
+                "--hidden", "12", "--epochs", "3", "--seed", "6", "--max-sentences", "40")
         assert configs == {"sgns": SgnsConfig(dim=16, seed=5), "nli": NliConfig(epochs=2, seed=5),
                            "truecase": TruecaserConfig(hidden=12, epochs=3, seed=6,
                                                        max_sentences=40)}
@@ -268,6 +270,29 @@ class TestExitCodes:
         capsys.readouterr()
         assert run("perplexity", "--model", "bad.ptlm", "--corpus", "c/valid.txt") == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
+        # an LSTM config record that is JSON but not an object
+        assert run("train-lm", "--kind", "lstm", "--train", "c/train.txt", "--valid",
+                   "c/valid.txt", "--vocab", "c/vocab.tsv", "--out", "lstm.ptlm",
+                   "--hidden", "4", "--layers", "1", "--epochs", "1") == EXIT_OK
+        record = json.dumps(dataclasses.asdict(modelio.load_model("lstm.ptlm").config),
+                            sort_keys=True).encode("utf-8")
+        blob = (workdir / "lstm.ptlm").read_bytes()
+        assert blob.count(record) == 1
+        (workdir / "bad.ptlm").write_bytes(
+            blob.replace(struct.pack("<I", len(record)) + record, struct.pack("<I", 3) + b"[1]"))
+        capsys.readouterr()
+        assert run("perplexity", "--model", "bad.ptlm", "--corpus", "c/valid.txt") == EXIT_CONFIG
+        assert "bad.ptlm: bad LSTM config record: not a JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("data,message", [
+        ([], "not an object with rows, stats and config"),
+        ({"rows": [{"model": "real", "bogus": 1}], "stats": {}, "config": {}},
+         "a row's keys are not"),
+    ], ids=["list", "unknown-row-key"])
+    def test_malformed_report_names_its_file(self, workdir, capsys, data, message):
+        (workdir / "report.json").write_text(json.dumps(data), encoding="utf-8")
+        assert run("report", "--report", "report.json") == EXIT_CONFIG
+        assert f"report.json: {message}" in capsys.readouterr().err
 
     def test_experiment_missing_config_file(self, workdir, capsys):
         assert run("experiment", "--config", "nope.ini") == EXIT_CONFIG

@@ -304,6 +304,18 @@ class TestFiles:
         with pytest.raises(ValueError):
             read_benchmark(path)
 
+    def test_benchmark_row_without_score_names_file_and_line(self, tmp_path):
+        path = tmp_path / "bench.csv"
+        path.write_text("word1,word2,score\nx,y,1\n\npain,ache\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"bench.csv: line 4: expected 3 fields, got 2"):
+            read_benchmark(path)
+
+    def test_embedding_file_short_of_its_count_names_file_and_line(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_text("3 2\na 0.5 1.0\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"emb.txt: line 3: expected a word and 2 values"):
+            read_embeddings(path)
+
     def test_duplicate_pairs_rejected(self):
         with pytest.raises(ValueError):
             SimilarityBenchmark("b", (("x", "y", 4.0), ("y", "x", 1.0)))

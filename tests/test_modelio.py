@@ -151,11 +151,15 @@ class TestValidation:
         with pytest.raises(ModelFormatError, match="tensors do not match"):
             load_model(path)
 
-    @pytest.mark.parametrize("entry", [{"bogus": 1}, {"layers": "1"}, {"dropout": 1.5}],
-                             ids=["unknown-key", "mistyped", "out-of-range"])
+    @pytest.mark.parametrize("entry", [{"bogus": 1}, {"layers": "1"}, {"dropout": 1.5},
+                                       [1], "x", None],
+                             ids=["unknown-key", "mistyped", "out-of-range",
+                                  "list", "string", "null"])
     def test_bad_lstm_config_record_rejected(self, tmp_path, entry):
         model = small_lstm()
-        record = {**dataclasses.asdict(model.config), **entry}
+        # a dict entry edits the real record; any other JSON value replaces it
+        record = ({**dataclasses.asdict(model.config), **entry} if isinstance(entry, dict)
+                  else entry)
         path = tmp_path / "m.ptlm"
         path.write_bytes(with_config_record(model_bytes(model), model.config, record))
         with pytest.raises(ModelFormatError, match="bad LSTM config record"):

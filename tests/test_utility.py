@@ -14,7 +14,6 @@ from synthnotes.utility import (
     evaluate_nli,
     evaluate_truecase,
     make_case_pairs,
-    read_case_pairs,
     read_nli_jsonl,
     train_nli_bow,
     train_truecaser,
@@ -115,6 +114,17 @@ class TestNli:
         write_nli_jsonl(data, path)
         assert read_nli_jsonl(path) == data
 
+    @pytest.mark.parametrize("record", ['{"premise": "a b", "label": "neutral"}',
+                                        '["a b", "c", "neutral"]'],
+                             ids=["no-hypothesis", "list"])
+    def test_malformed_jsonl_record_names_file_and_line(self, tmp_path, record):
+        path = tmp_path / "nli.jsonl"
+        write_nli_jsonl([NliExample(("a",), ("b",), "neutral")], path)
+        path.write_text(path.read_text(encoding="utf-8") + "\n" + record + "\n",
+                        encoding="utf-8")
+        with pytest.raises(ValueError, match=r"nli.jsonl: line 3: expected an object"):
+            read_nli_jsonl(path)
+
 
 class TestCaseF1:
     def test_hand_case(self):
@@ -183,17 +193,6 @@ class TestTruecaser:
             CasePair(cased=("Hi",), lowered=("hello",))
         with pytest.raises(ValueError):
             CasePair(cased=("Hi", "there"), lowered=("hi",))
-
-    def test_read_case_pairs_alignment(self):
-        cased = cased_corpus(5)
-        lowered = Corpus(tuple(
-            Note(n.id, tuple(tuple(t.lower() for t in s) for s in n.sentences))
-            for n in cased), "test")
-        pairs = read_case_pairs(cased, lowered)
-        assert len(pairs) == 10
-        bad = Corpus((lowered.notes[0],), "test")
-        with pytest.raises(ValueError):
-            read_case_pairs(cased, bad)
 
     @pytest.mark.parametrize("field", ["hidden", "emb_dim", "epochs", "batch_size",
                                        "max_sentences"])
